@@ -29,9 +29,24 @@ type Result struct {
 	Counts circuit.Counts
 }
 
+// DisconnectedError reports a disconnected device whose component around
+// the layout center holds fewer qubits than the circuit needs.
+type DisconnectedError struct {
+	Device    string
+	Need      int // logical qubits in the circuit
+	Reachable int // physical qubits connected to the layout center
+}
+
+func (e *DisconnectedError) Error() string {
+	return fmt.Sprintf("compiler: circuit needs %d qubits, device %q is disconnected and only %d are reachable from its layout center",
+		e.Need, e.Device, e.Reachable)
+}
+
 // Compile maps circuit c onto device dev with baseline options. The
 // circuit is lowered to the native {1q, CX} basis first. It returns an
-// error when the circuit needs more qubits than the device offers.
+// error when the circuit needs more qubits than the device offers, and a
+// *DisconnectedError when fewer of them are connected to the layout
+// center than the circuit needs.
 func Compile(c *circuit.Circuit, dev *topo.Device) (*Result, error) {
 	return compile(c, dev, Options{})
 }
@@ -45,6 +60,9 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 	}
 	native := circuit.Decompose(c)
 	layout := initialLayout(dev, c.NumQubits)
+	if len(layout) < c.NumQubits {
+		return nil, &DisconnectedError{Device: dev.Name, Need: c.NumQubits, Reachable: len(layout)}
+	}
 
 	pos := append([]int(nil), layout...) // logical -> physical
 	owner := make([]int, dev.N)          // physical -> logical (-1 free)
@@ -56,6 +74,8 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 	}
 
 	out := circuit.New(dev.N)
+	// Routing only adds gates, so the lowered gate count is a lower bound.
+	out.Gates = make([]circuit.Gate, 0, len(native.Gates))
 	swaps := 0
 
 	emitSwap := func(u, v int) {
@@ -73,14 +93,18 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 		swaps++
 	}
 
-	// findPath routes between two physical qubits: BFS shortest path by
+	// nextHop is the first step from physical qubit u toward v, or -1
+	// when v is unreachable: the device's shared BFS routing table by
 	// default, or a minimum-cost path under the configured edge costs.
-	findPath := func(u, v int) []int {
+	nextHop := func(u, v int) int {
 		if opts.EdgeCost == nil {
-			return dev.G.ShortestPath(u, v)
+			return dev.G.FirstHop(u, v)
 		}
 		p, _ := dev.G.ShortestPathWeighted(u, v, opts.EdgeCost)
-		return p
+		if p == nil {
+			return -1
+		}
+		return p[1]
 	}
 
 	for _, g := range native.Gates {
@@ -91,12 +115,12 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 			a, b := g.Qubits[0], g.Qubits[1]
 			// Route a toward b along the chosen path until adjacent.
 			for !dev.G.HasEdge(pos[a], pos[b]) {
-				path := findPath(pos[a], pos[b])
-				if path == nil {
+				next := nextHop(pos[a], pos[b])
+				if next < 0 {
 					return nil, fmt.Errorf("compiler: no path between physical %d and %d",
 						pos[a], pos[b])
 				}
-				emitSwap(path[0], path[1])
+				emitSwap(pos[a], next)
 			}
 			out.Append(g.Name, g.Param, pos[a], pos[b])
 		default:
@@ -116,47 +140,44 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 
 // initialLayout picks a dense, central region of the device: BFS from the
 // graph center (minimum eccentricity, lowest id on ties) and take the
-// first n qubits discovered in deterministic order.
+// first n qubits discovered in deterministic order. On a disconnected
+// device it returns fewer than n qubits when the center's component is
+// too small.
 func initialLayout(dev *topo.Device, n int) []int {
-	center := graphCenter(dev)
-	order := bfsOrder(dev, center)
-	return order[:n]
+	order := bfsOrder(dev, graphCenter(dev))
+	return order[:min(n, len(order))]
 }
 
-// graphCenter returns the vertex with minimum eccentricity.
+// graphCenter returns the vertex with minimum eccentricity. An
+// unreachable vertex makes the eccentricity infinite, so on a
+// disconnected device every vertex ties and the center is vertex 0.
 func graphCenter(dev *topo.Device) int {
-	best, bestEcc := 0, int(^uint(0)>>1)
+	best, bestEcc := 0, -1
 	for v := 0; v < dev.N; v++ {
-		ecc := 0
-		for _, d := range dev.G.BFSFrom(v) {
-			if d > ecc {
-				ecc = d
-			}
-		}
-		if ecc < bestEcc {
+		ecc := dev.G.Eccentricity(v)
+		if ecc >= 0 && (bestEcc < 0 || ecc < bestEcc) {
 			best, bestEcc = v, ecc
 		}
 	}
 	return best
 }
 
-// bfsOrder returns all vertices in BFS discovery order from src with
-// sorted neighbour visits for determinism.
+// bfsOrder returns the vertices reachable from src in BFS discovery order
+// with sorted neighbour visits for determinism. The order doubles as the
+// BFS queue.
 func bfsOrder(dev *topo.Device, src int) []int {
 	seen := make([]bool, dev.N)
-	order := make([]int, 0, dev.N)
-	queue := []int{src}
+	order := make([]int, 1, dev.N)
+	order[0] = src
 	seen[src] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		nbrs := append([]int(nil), dev.G.Neighbors(v)...)
+	var nbrs []int
+	for i := 0; i < len(order); i++ {
+		nbrs = append(nbrs[:0], dev.G.Neighbors(order[i])...)
 		insertionSort(nbrs)
 		for _, w := range nbrs {
 			if !seen[w] {
 				seen[w] = true
-				queue = append(queue, w)
+				order = append(order, w)
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package compiler
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"chipletqc/internal/circuit"
+	"chipletqc/internal/graph"
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/qbench"
 	"chipletqc/internal/qsim"
@@ -16,6 +18,52 @@ func TestCompileRejectsOversizedCircuit(t *testing.T) {
 	if _, err := Compile(circuit.New(11), dev); err == nil {
 		t.Error("expected error for 11-qubit circuit on 10-qubit device")
 	}
+}
+
+// disconnectedDevice is a 6-qubit device with couplings 0-1, 1-2 and 3-4;
+// qubit 5 is isolated.
+func disconnectedDevice() *topo.Device {
+	g := graph.New(6)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(3, 4)
+	return &topo.Device{Name: "split-6", N: 6, G: g}
+}
+
+func TestCompileDisconnectedDevice(t *testing.T) {
+	dev := disconnectedDevice()
+
+	// Four qubits do not fit the center's component {0, 1, 2}, whether
+	// the circuit routes (CX) or not (1q gates only).
+	oneQ := circuit.New(4)
+	for q := 0; q < 4; q++ {
+		oneQ.H(q)
+	}
+	cx := circuit.New(4)
+	cx.CX(1, 2)
+	for _, c := range []*circuit.Circuit{oneQ, cx} {
+		r, err := Compile(c, dev)
+		var de *DisconnectedError
+		if !errors.As(err, &de) {
+			t.Fatalf("Compile = %+v, %v; want *DisconnectedError", r, err)
+		}
+		if de.Device != "split-6" || de.Need != 4 || de.Reachable != 3 {
+			t.Errorf("DisconnectedError = %+v, want {split-6 4 3}", *de)
+		}
+	}
+
+	// Three qubits fit: the layout is the component, and CX(1,2) routes
+	// inside it.
+	c := circuit.New(3)
+	c.CX(1, 2)
+	r, err := Compile(c, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.InitialLayout; len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("InitialLayout = %v, want [0 1 2]", got)
+	}
+	checkRouted(t, r, dev)
 }
 
 // checkRouted asserts every 2q gate of a compiled circuit lands on a

@@ -29,7 +29,8 @@ func randomCircuit(r *rand.Rand, n, gates int) *circuit.Circuit {
 
 // TestCompileRandomCircuitsProperty: for random circuits on random
 // devices, every compiled 2q gate is on a coupling, layouts are
-// bijections, and gate accounting holds.
+// bijections, gate accounting holds, and the output is identical to the
+// per-SWAP BFS router's.
 func TestCompileRandomCircuitsProperty(t *testing.T) {
 	devices := []*topo.Device{
 		topo.MonolithicDevice(topo.ChipSpec{DenseRows: 2, Width: 8}),
@@ -66,7 +67,7 @@ func TestCompileRandomCircuitsProperty(t *testing.T) {
 		if res.Counts.OneQ != c.OneQubitGates() {
 			return false
 		}
-		return true
+		return sameAsOracle(res, c, dev) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -74,7 +75,8 @@ func TestCompileRandomCircuitsProperty(t *testing.T) {
 }
 
 // TestCompileAllEnumeratedGridsSmoke compiles one benchmark on every
-// enumerated MCM system up to 200 qubits — the shapes Fig. 10 visits.
+// enumerated MCM system up to 200 qubits — the shapes Fig. 10 visits —
+// and checks each against the per-SWAP BFS router.
 func TestCompileAllEnumeratedGridsSmoke(t *testing.T) {
 	for _, g := range mcm.EnumerateGrids(200) {
 		dev := mcm.MustBuild(g)
@@ -88,6 +90,9 @@ func TestCompileAllEnumeratedGridsSmoke(t *testing.T) {
 		}
 		if res.Counts.TwoQ < c.TwoQubitGates() {
 			t.Fatalf("%v: lost gates", g)
+		}
+		if field := sameAsOracle(res, c, dev); field != "" {
+			t.Fatalf("%v: %s differs from the per-SWAP BFS router", g, field)
 		}
 	}
 }

