@@ -222,7 +222,7 @@ type YieldOptions struct {
 	// "stratified", or "importance" (rare-event estimators with
 	// likelihood-ratio reweighting; see the README's rare-event sampling
 	// section). "" inherits the scenario's trial policy; "none" forces
-	// the historical inline counting path.
+	// plain counting with the result left unlabelled.
 	Sampling string
 	// Progress, when non-nil, receives per-checkpoint trial counts.
 	Progress func(ProgressEvent)

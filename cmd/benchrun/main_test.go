@@ -49,13 +49,12 @@ func TestRunPerfWritesRecord(t *testing.T) {
 	}
 	want := []string{
 		"yield_simulate_fixed",
-		"yield_simulate_adaptive_1pct",
 		"yield_simulate_stratified",
 		"yield_simulate_importance",
 		"yield_tight_thresholds_e2e",
 	}
 	if len(records) != len(want) {
-		t.Fatalf("records = %d, want %d (fixed + adaptive + stratified + importance + tight e2e)",
+		t.Fatalf("records = %d, want %d (fixed + stratified + importance + tight e2e)",
 			len(records), len(want))
 	}
 	for i, r := range records {
@@ -90,7 +89,6 @@ func TestRunPerfCheck(t *testing.T) {
 	impossible := filepath.Join(dir, "impossible.json")
 	base := []perfRecord{
 		{Name: "yield_simulate_fixed", NsPerOp: 1e15},
-		{Name: "yield_simulate_adaptive_1pct", NsPerOp: 1e15},
 		{Name: "yield_simulate_importance", NsPerOp: 1e15},
 	}
 	writeRecords := func(path string, rs []perfRecord) {

@@ -78,7 +78,7 @@ type Config struct {
 	// Sampling selects the yield estimator (see internal/sampling):
 	// plain counting, stratified, or importance sampling with
 	// likelihood-ratio reweighting for rare-event scenarios. The zero
-	// spec runs the historical inline counting path.
+	// spec runs plain counting and leaves the result unlabelled.
 	Sampling sampling.Spec
 
 	// Progress, when non-nil, receives streaming progress events from
@@ -197,7 +197,7 @@ func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
 // ApplySamplingOverrides layers per-run estimator and relative-precision
 // knobs over the scenario trial policy already on the config;
 // yield.ResolveSamplingMethod defines the method sentinels ("" inherits,
-// "none" forces the historical inline path) and yield.ResolveTrialPolicy
+// "none" forces plain counting, unlabelled) and yield.ResolveTrialPolicy
 // the relative-precision ones.
 func (c *Config) ApplySamplingOverrides(method string, relPrecision float64) {
 	c.Sampling = yield.ResolveSamplingMethod(c.Sampling, method)

@@ -90,13 +90,16 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 	}
 	monoOuter, monoInner := runner.Split(cfg.Workers, len(monoQubits))
 	var monoDone atomic.Int64
-	monoList, err := runner.Map(ctx, len(monoQubits), monoOuter, func(i int) yield.Result {
+	monoList, err := runner.MapErr(ctx, len(monoQubits), monoOuter, func(i int) (yield.Result, error) {
 		q := monoQubits[i]
 		ycfg := cfg.yieldConfig(cfg.MonoBatch, cfg.Seed+seedOffFig8Mono+int64(q))
 		ycfg.Workers = monoInner
-		res, _ := yield.Simulate(ctx, topo.MonolithicDevice(topo.MonolithicSpec(q)), ycfg)
+		res, err := yield.Simulate(ctx, topo.MonolithicDevice(topo.MonolithicSpec(q)), ycfg)
+		if err != nil {
+			return yield.Result{}, err
+		}
 		cfg.progress("fig8/mono", int(monoDone.Add(1)), len(monoQubits))
-		return res
+		return res, nil
 	})
 	if err != nil {
 		return Fig8Result{}, err

@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"chipletqc/internal/mcm"
+	"chipletqc/internal/sampling"
 )
 
 // tinyConfig is a reduced-scale experiment configuration for the
@@ -107,4 +109,15 @@ func BenchmarkFig8(b *testing.B) {
 		res = runFig8(b, cfg)
 	}
 	b.ReportMetric(res.ChipletYields[20], "chipyield@20q")
+}
+
+// TestFig8PropagatesMonoYieldErrors: a monolithic yield simulation that
+// cannot build its estimator must fail Fig8 instead of leaving
+// zero-valued monolithic yields behind a nil error.
+func TestFig8PropagatesMonoYieldErrors(t *testing.T) {
+	cfg := tinyConfig(11, 2)
+	cfg.Sampling = sampling.Spec{Method: "bogus"}
+	if res, err := Fig8(context.Background(), cfg); err == nil {
+		t.Errorf("Fig8 returned %d points with a nil error", len(res.Points))
+	}
 }

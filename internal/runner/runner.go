@@ -10,8 +10,8 @@
 // are collected into index-ordered slices so downstream aggregation is
 // order-stable too.
 //
-// Every campaign entry point is context-first: workers poll a shared
-// cancellation flag before claiming each trial index, so a cancelled
+// Every campaign entry point is context-first: workers check for
+// cancellation before claiming each trial index, so a cancelled
 // context stops a campaign within one in-flight trial per worker, and
 // every worker goroutine exits before the call returns (no leaks). A
 // cancelled campaign returns ctx.Err() and discards partial results;
@@ -166,103 +166,16 @@ func MapLocal[L, T any](ctx context.Context, n, workers int, newLocal func() L, 
 	}
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
-	workers = Workers(workers, n)
-	if workers == 1 {
-		l := newLocal()
-		for i := 0; i < n; i++ {
-			if cancelled() {
-				return nil, ctx.Err()
-			}
-			out[i] = fn(l, i)
-		}
-		// ctx.Err() directly, not the flag: the watcher sets the flag
-		// asynchronously, so a cancellation observed by a nested call
-		// (whose dropped error left a zero result in out) could race
-		// the flag and leak a nil-error partial result to the caller.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l := newLocal()
-			for !cancelled() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(l, i)
-			}
-		}()
-	}
-	wg.Wait()
+	claim(newLocals(Workers(workers, n), newLocal), n, cancelled,
+		func(l L, i int) { out[i] = fn(l, i) })
+	// ctx.Err() directly, not the flag: the watcher sets the flag
+	// asynchronously, so a cancellation observed by a nested call
+	// (whose dropped error left a zero result in out) could race the
+	// flag and leak a nil-error partial result to the caller.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// CountLocal runs pred over [0, n) with per-worker local scratch state
-// (for hot Monte Carlo loops that reuse a sample buffer across trials)
-// and returns how many trials reported true.
-func CountLocal[L any](ctx context.Context, n, workers int, newLocal func() L, pred func(l L, i int) bool) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	cancelled, stopWatch := watchCancel(ctx)
-	defer stopWatch()
-	workers = Workers(workers, n)
-	if workers == 1 {
-		l := newLocal()
-		total := 0
-		for i := 0; i < n; i++ {
-			if cancelled() {
-				return 0, ctx.Err()
-			}
-			if pred(l, i) {
-				total++
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return total, nil
-	}
-	var total atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l := newLocal()
-			count := 0
-			for !cancelled() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				if pred(l, i) {
-					count++
-				}
-			}
-			total.Add(int64(count))
-		}()
-	}
-	wg.Wait()
-	// ctx.Err(), not the async flag — see MapLocal.
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return int(total.Load()), nil
 }
 
 // MapErr is Map for fallible trials with cooperative cancellation: once
@@ -271,37 +184,34 @@ func CountLocal[L any](ctx context.Context, n, workers int, newLocal func() L, p
 // deterministic regardless of scheduling; on success the full
 // index-ordered result slice is returned.
 func MapErr[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]T, n)
 	if n <= 0 {
-		return out, ctx.Err()
+		return out, nil
 	}
 	errs := make([]error, n)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers = Workers(workers, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				v, err := fn(i)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-				out[i] = v
+	var failed atomic.Bool
+	// Indices are claimed in increasing order, so every index below a
+	// failing one was claimed before the failure halted claims and runs
+	// to completion: the lowest failing index is always found. The halt
+	// polls ctx.Err() directly, not the async watcher flag: a trial that
+	// cancels the context (a campaign interrupted from a progress hook)
+	// must stop the very next claim, so the call returns ctx.Err()
+	// rather than the next trial's wrapped cancellation error. MapErr
+	// units are coarse, so the poll's cost does not show.
+	claim(make([]struct{}, Workers(workers, n)), n,
+		func() bool { return failed.Load() || ctx.Err() != nil },
+		func(_ struct{}, i int) {
+			v, err := fn(i)
+			if err != nil {
+				errs[i] = err
+				failed.Store(true)
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			out[i] = v
+		})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -311,4 +221,46 @@ func MapErr[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 		return nil, err
 	}
 	return out, nil
+}
+
+// newLocals runs newLocal once per worker.
+func newLocals[L any](workers int, newLocal func() L) []L {
+	locals := make([]L, workers)
+	for w := range locals {
+		locals[w] = newLocal()
+	}
+	return locals
+}
+
+// claim is the one index-claim loop behind every fan-out entry point:
+// it runs body over [0, n) with one worker per local, each worker
+// passing its own local to every body call it makes. Indices are
+// claimed from a shared atomic counter so uneven per-trial cost
+// load-balances, and workers poll halted before each claim, so a halt
+// stops the loop within one in-flight call per worker. A single worker
+// (or a single index) runs serially on the calling goroutine. Every
+// worker has exited when claim returns.
+func claim[L any](locals []L, n int, halted func() bool, body func(l L, i int)) {
+	if len(locals) == 1 || n == 1 {
+		for i := 0; i < n && !halted(); i++ {
+			body(locals[0], i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, l := range locals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !halted() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				body(l, i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -109,20 +109,95 @@ func TestMapLocalAllocatesPerWorker(t *testing.T) {
 	}
 }
 
-func TestCountLocalMatchesSerial(t *testing.T) {
-	pred := func(_ struct{}, i int) bool { return Rand(7, i).Float64() < 0.3 }
-	local := func() struct{} { return struct{}{} }
-	want, err := CountLocal(bg, 2000, 1, local, pred)
-	if err != nil {
-		t.Fatal(err)
+// TestMapLocalCountMatchesSerial: a Monte Carlo success count folded
+// from MapLocal's index-ordered results is identical at any worker
+// count.
+func TestMapLocalCountMatchesSerial(t *testing.T) {
+	count := func(n, workers int) int {
+		hits, err := MapLocal(bg, n, workers, noLocal,
+			func(_ struct{}, i int) bool { return Rand(7, i).Float64() < 0.3 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, hit := range hits {
+			if hit {
+				total++
+			}
+		}
+		return total
 	}
+	want := count(2000, 1)
 	for _, workers := range []int{2, 8} {
-		if got, err := CountLocal(bg, 2000, workers, local, pred); err != nil || got != want {
-			t.Errorf("workers=%d: count %d (err %v), want %d", workers, got, err, want)
+		if got := count(2000, workers); got != want {
+			t.Errorf("workers=%d: count %d, want %d", workers, got, want)
 		}
 	}
-	if got, err := CountLocal(bg, 0, 4, local, pred); err != nil || got != 0 {
-		t.Error("empty count should be 0 with no error")
+	if got := count(0, 4); got != 0 {
+		t.Error("empty count should be 0")
+	}
+}
+
+// TestEntryPointsRunEachIndexOnce drives every fan-out entry point over
+// the shared claim core: each index must run exactly once and results
+// must come back (or be observed) in index order, for empty, single,
+// odd-sized and large campaigns at serial and parallel worker counts.
+func TestEntryPointsRunEachIndexOnce(t *testing.T) {
+	value := func(i int) int { return i*i + 3 }
+	entries := []struct {
+		name string
+		run  func(n, workers int, trial func(i int) int) ([]int, error)
+	}{
+		{"Map", func(n, workers int, trial func(int) int) ([]int, error) {
+			return Map(bg, n, workers, trial)
+		}},
+		{"MapLocal", func(n, workers int, trial func(int) int) ([]int, error) {
+			return MapLocal(bg, n, workers, noLocal, func(_ struct{}, i int) int { return trial(i) })
+		}},
+		{"MapErr", func(n, workers int, trial func(int) int) ([]int, error) {
+			return MapErr(bg, n, workers, func(i int) (int, error) { return trial(i), nil })
+		}},
+		{"StreamPlanned", func(n, workers int, trial func(int) int) ([]int, error) {
+			var out []int
+			got, err := StreamPlanned(bg, n, workers, Checkpoints(2, n), noLocal, nil,
+				func(_ struct{}, i int) int { return trial(i) },
+				func(i, v int) {
+					if i != len(out) {
+						t.Fatalf("observed index %d after %d observations", i, len(out))
+					}
+					out = append(out, v)
+				},
+				func(int) bool { return false })
+			if err == nil && got != len(out) {
+				t.Fatalf("StreamPlanned reported %d trials, observed %d", got, len(out))
+			}
+			return out, err
+		}},
+	}
+	for _, e := range entries {
+		for _, n := range []int{0, 1, 7, 1000} {
+			for _, workers := range []int{1, 2, 8} {
+				runs := make([]atomic.Int64, n)
+				out, err := e.run(n, workers, func(i int) int {
+					runs[i].Add(1)
+					return value(i)
+				})
+				if err != nil {
+					t.Fatalf("%s n=%d workers=%d: %v", e.name, n, workers, err)
+				}
+				if len(out) != n {
+					t.Fatalf("%s n=%d workers=%d: %d results", e.name, n, workers, len(out))
+				}
+				for i := range runs {
+					if r := runs[i].Load(); r != 1 {
+						t.Errorf("%s n=%d workers=%d: index %d ran %d times", e.name, n, workers, i, r)
+					}
+					if out[i] != value(i) {
+						t.Errorf("%s n=%d workers=%d: out[%d] = %d, want %d", e.name, n, workers, i, out[i], value(i))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -209,13 +284,13 @@ func TestPreCancelledContextShortCircuits(t *testing.T) {
 	if _, err := MapLocal(ctx, 100, 4, noLocal, trial); !errors.Is(err, context.Canceled) {
 		t.Errorf("MapLocal err = %v, want context.Canceled", err)
 	}
-	if _, err := CountLocal(ctx, 100, 4, noLocal,
-		func(_ struct{}, i int) bool { ran.Add(1); return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountLocal err = %v, want context.Canceled", err)
+	if _, err := MapErr(ctx, 100, 4,
+		func(i int) (int, error) { ran.Add(1); return i, nil }); !errors.Is(err, context.Canceled) {
+		t.Errorf("MapErr err = %v, want context.Canceled", err)
 	}
-	if _, err := Stream(ctx, 100, 4, nil, noLocal, trial, func(int, int) {},
+	if _, err := StreamPlanned(ctx, 100, 4, nil, noLocal, nil, trial, func(int, int) {},
 		func(int) bool { return false }); !errors.Is(err, context.Canceled) {
-		t.Errorf("Stream err = %v, want context.Canceled", err)
+		t.Errorf("StreamPlanned err = %v, want context.Canceled", err)
 	}
 	if n := ran.Load(); n != 0 {
 		t.Errorf("%d trials ran under a pre-cancelled context", n)
@@ -246,12 +321,12 @@ func TestMidRunCancellationStopsPromptly(t *testing.T) {
 	}
 }
 
-// TestStreamMidRunCancellation: a Stream campaign cancelled mid-block
-// returns ctx.Err() without reaching the trial budget.
+// TestStreamMidRunCancellation: a StreamPlanned campaign cancelled
+// mid-block returns ctx.Err() without reaching the trial budget.
 func TestStreamMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := Stream(ctx, 1_000_000, 4, Checkpoints(250, 1_000_000), noLocal,
+	_, err := StreamPlanned(ctx, 1_000_000, 4, Checkpoints(250, 1_000_000), noLocal, nil,
 		func(_ struct{}, i int) int {
 			if ran.Add(1) == 100 {
 				cancel()

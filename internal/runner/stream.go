@@ -3,8 +3,6 @@ package runner
 import (
 	"context"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // TrialRNG is a reusable per-worker trial RNG: Seek repositions it onto
@@ -40,9 +38,8 @@ type Scratch struct {
 	Buf []float64
 }
 
-// NewScratch returns a newLocal constructor for MapLocal/CountLocal/
-// Stream that equips each worker with a TrialRNG and an n-element
-// buffer.
+// NewScratch returns a newLocal constructor for MapLocal/StreamPlanned
+// that equips each worker with a TrialRNG and an n-element buffer.
 func NewScratch(n int) func() Scratch {
 	return func() Scratch {
 		return Scratch{RNG: NewTrialRNG(), Buf: make([]float64, n)}
@@ -67,36 +64,31 @@ func Checkpoints(min, max int) []int {
 	return append(out, max)
 }
 
-// Stream is the streaming fan-out mode: it runs up to max trials in
-// checkpoint-delimited blocks, feeds every trial's observation to an
-// aggregator in trial-index order, and asks stop after each checkpoint
-// whether the campaign can end early. It returns the number of trials
-// executed.
+// StreamPlanned is the streaming fan-out mode: it runs up to max
+// trials in checkpoint-delimited blocks, feeds every trial's
+// observation to an aggregator in trial-index order, and asks stop
+// after each checkpoint whether the campaign can end early. It returns
+// the number of trials executed.
 //
-// The determinism contract extends CountLocal's: trial i's result must
+// The determinism contract extends MapLocal's: trial i's result must
 // depend only on i (locals are scratch), blocks always run to their
 // checkpoint before any stop decision, and observe sees results in
 // index order — so the executed trial count and every aggregate are
 // bit-identical at any worker count. Checkpoints are clamped to
 // (0, max] and deduplicated; a final checkpoint at max is implied.
 //
+// When plan is non-nil it is called with the half-open trial range
+// [lo, hi) of each upcoming block before any worker starts it, on the
+// coordinating goroutine, never concurrently with trial. Estimators
+// that assign trials to strata use it to freeze per-block assignment
+// from statistics accumulated at the previous checkpoint — the
+// assignment becomes a pure function of the trial index and the
+// checkpoint grid, preserving worker-count invariance.
+//
 // A cancelled context stops the campaign within one in-flight trial per
 // worker and returns ctx.Err(); observations already delivered to the
 // aggregator before cancellation stay delivered, but the partial
 // campaign must be discarded by the caller.
-func Stream[L, T any](ctx context.Context, max, workers int, checkpoints []int, newLocal func() L,
-	trial func(l L, i int) T, observe func(i int, v T), stop func(trials int) bool) (int, error) {
-	return StreamPlanned(ctx, max, workers, checkpoints, newLocal, nil, trial, observe, stop)
-}
-
-// StreamPlanned is Stream with a block-planning hook: when plan is
-// non-nil it is called with the half-open trial range [lo, hi) of each
-// upcoming block before any worker starts it, on the coordinating
-// goroutine, never concurrently with trial. Estimators that assign
-// trials to strata use it to freeze per-block assignment from
-// statistics accumulated at the previous checkpoint — the assignment
-// becomes a pure function of the trial index and the checkpoint grid,
-// preserving worker-count invariance.
 func StreamPlanned[L, T any](ctx context.Context, max, workers int, checkpoints []int, newLocal func() L,
 	plan func(lo, hi int), trial func(l L, i int) T, observe func(i int, v T), stop func(trials int) bool) (int, error) {
 	if err := ctx.Err(); err != nil {
@@ -107,11 +99,7 @@ func StreamPlanned[L, T any](ctx context.Context, max, workers int, checkpoints 
 	}
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
-	workers = Workers(workers, max)
-	locals := make([]L, workers)
-	for i := range locals {
-		locals[i] = newLocal()
-	}
+	locals := newLocals(Workers(workers, max), newLocal)
 
 	var buf []T
 	done := 0
@@ -130,7 +118,7 @@ func StreamPlanned[L, T any](ctx context.Context, max, workers int, checkpoints 
 		if plan != nil {
 			plan(done, cp)
 		}
-		runBlock(locals, done, cp, buf, trial, cancelled)
+		claim(locals, n, cancelled, func(l L, j int) { buf[j] = trial(l, done+j) })
 		// ctx.Err() directly, not the async watcher flag: a
 		// cancellation observed synchronously by a nested call inside
 		// trial could race the flag and let a block of zero-valued
@@ -151,37 +139,4 @@ func StreamPlanned[L, T any](ctx context.Context, max, workers int, checkpoints 
 	}
 	step(max)
 	return done, ctx.Err()
-}
-
-// runBlock evaluates trials [lo, hi) across the locals' workers,
-// writing trial i's result to out[i-lo]. Indices are claimed from a
-// shared atomic counter so uneven per-trial cost load-balances;
-// workers poll the cancellation flag before each claim.
-func runBlock[L, T any](locals []L, lo, hi int, out []T, trial func(l L, i int) T, cancelled func() bool) {
-	n := hi - lo
-	if len(locals) == 1 || n == 1 {
-		for j := 0; j < n; j++ {
-			if cancelled() {
-				return
-			}
-			out[j] = trial(locals[0], lo+j)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < len(locals); w++ {
-		wg.Add(1)
-		go func(l L) {
-			defer wg.Done()
-			for !cancelled() {
-				j := int(next.Add(1)) - 1
-				if j >= n {
-					return
-				}
-				out[j] = trial(l, lo+j)
-			}
-		}(locals[w])
-	}
-	wg.Wait()
 }

@@ -8,10 +8,10 @@ import (
 	"chipletqc/internal/topo"
 )
 
-// plain is the historical counting estimator behind the Estimator
-// interface: unweighted fabrication draws, Wilson score intervals. Its
-// draws are bit-identical to fab.Model.SampleInto on the same stream,
-// so a plain-estimator run reproduces the inline path exactly.
+// plain is the counting estimator behind the Estimator interface, and
+// the one the zero spec runs: unweighted fabrication draws
+// (fab.Model.SampleInto on the trial's own stream), Wilson score
+// intervals.
 type plain struct {
 	d *topo.Device
 	m fab.Model

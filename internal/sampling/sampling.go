@@ -40,8 +40,8 @@ import (
 	"chipletqc/internal/topo"
 )
 
-// Method names. The empty method is "no spec": the yield engine keeps
-// its historical inline counting path.
+// Method names. The empty method is "no spec": the yield engine runs
+// the plain estimator and leaves its results unlabelled.
 const (
 	Plain      = "plain"
 	Stratified = "stratified"
@@ -80,8 +80,8 @@ const (
 // Spec selects and parameterises a yield estimator. It is plain,
 // comparable data so it can live in a scenario's trial policy and fold
 // into fingerprints. The zero value means "unset": the yield engine
-// runs its historical inline counting path, byte-identical to releases
-// that predate this package.
+// runs the plain estimator but reports its results unlabelled, so they
+// stay byte-identical to releases that predate this package.
 type Spec struct {
 	// Method is "plain", "stratified", or "importance" ("" = unset).
 	Method string `json:"method,omitempty"`
@@ -267,8 +267,7 @@ type Estimator interface {
 
 // New constructs the estimator a spec selects, bound to one device,
 // fabrication model, and set of collision thresholds. The zero spec
-// yields the plain estimator (callers that want the historical inline
-// path should branch on IsZero first). The thresholds parameterise the
+// yields the plain estimator. The thresholds parameterise the
 // importance estimator's conditioned proposal and MUST match the
 // checker the engine evaluates trials with — a mismatch loses the
 // free-by-construction property (the estimate stays conservative, the

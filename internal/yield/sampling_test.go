@@ -59,8 +59,8 @@ func TestEstimatorsDeterministicAcrossWorkers(t *testing.T) {
 // TestEstimatorsAgreeOnMidYield is the unbiasedness property test: the
 // plain, stratified, and importance estimators run the same mid-yield
 // device with independent randomness and must land within their
-// combined confidence intervals of each other — and of the historical
-// inline path, which the plain estimator must in fact reproduce
+// combined confidence intervals of each other. The plain estimator and
+// the zero spec must in fact both reproduce the serial counting oracle
 // bit-identically.
 func TestEstimatorsAgreeOnMidYield(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(12))
@@ -68,19 +68,21 @@ func TestEstimatorsAgreeOnMidYield(t *testing.T) {
 	cfg.Params = scaledThresholds(1.5)
 	cfg.Batch = 30000
 
-	inline := simulate(t, d, cfg)
+	inline := oracleSimulate(d, cfg)
 
 	results := map[string]Result{}
-	for _, method := range []string{sampling.Plain, sampling.Stratified, sampling.Importance} {
+	for _, method := range []string{"", sampling.Plain, sampling.Stratified, sampling.Importance} {
 		c := cfg
 		c.Sampling = sampling.Spec{Method: method}
 		results[method] = simulate(t, d, c)
 	}
 
-	p := results[sampling.Plain]
-	if p.Batch != inline.Batch || p.Free != inline.Free ||
-		p.CILo != inline.CILo || p.CIHi != inline.CIHi {
-		t.Errorf("plain estimator does not reproduce the inline path:\n%+v\n%+v", p, inline)
+	for _, method := range []string{"", sampling.Plain} {
+		p := results[method]
+		if p.Batch != inline.Batch || p.Free != inline.Free ||
+			p.CILo != inline.CILo || p.CIHi != inline.CIHi {
+			t.Errorf("spec %q does not reproduce the counting oracle:\n%+v\n%+v", method, p, inline)
+		}
 	}
 
 	se := func(r Result) float64 { return r.HalfWidth() / 1.96 }
@@ -130,7 +132,7 @@ func TestEstimatedResultReportsProvenance(t *testing.T) {
 
 // TestSimulateRejectsBadSampling: an invalid spec or an unusable
 // estimator configuration must surface as an error, not a panic or a
-// silent fall-back to the inline path.
+// silent fall-back to plain counting.
 func TestSimulateRejectsBadSampling(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(12))
 	cfg := testConfig()
@@ -146,8 +148,28 @@ func TestSimulateRejectsBadSampling(t *testing.T) {
 	}
 }
 
+// TestCurvesPropagateSimulateErrors: an estimator that cannot be built
+// must fail every fan-out over Simulate instead of leaving zero-valued
+// points behind a nil error.
+func TestCurvesPropagateSimulateErrors(t *testing.T) {
+	cfg := testConfig()
+	cfg.Batch = 50
+	cfg.Model.Sigma = 0
+	cfg.Sampling = sampling.Spec{Method: sampling.Importance}
+	ctx := context.Background()
+	if pts, err := MonolithicCurve(ctx, []int{20, 40}, cfg); err == nil {
+		t.Errorf("MonolithicCurve returned %+v with a nil error", pts)
+	}
+	if res, err := ChipletYields(ctx, cfg); err == nil {
+		t.Errorf("ChipletYields returned %+v with a nil error", res)
+	}
+	if cells, err := Sweep(ctx, []float64{0.06}, []float64{0}, []int{20}, cfg); err == nil {
+		t.Errorf("Sweep returned %+v with a nil error", cells)
+	}
+}
+
 // TestResolveSamplingMethod pins the -sampling flag sentinels: ""
-// inherits, "none"/"off" force the inline path, anything else selects
+// inherits, "none"/"off" force the zero spec, anything else selects
 // that method at defaults.
 func TestResolveSamplingMethod(t *testing.T) {
 	scenario := sampling.Spec{Method: sampling.Importance, MinESS: 80}
@@ -156,7 +178,7 @@ func TestResolveSamplingMethod(t *testing.T) {
 	}
 	for _, off := range []string{"none", "off"} {
 		if got := ResolveSamplingMethod(scenario, off); !got.IsZero() {
-			t.Errorf("%q should force the inline path, got %+v", off, got)
+			t.Errorf("%q should force the zero spec, got %+v", off, got)
 		}
 	}
 	if got := ResolveSamplingMethod(scenario, sampling.Stratified); got.Method != sampling.Stratified {

@@ -69,8 +69,9 @@ type Config struct {
 	// Sampling selects the yield estimator (see internal/sampling):
 	// plain counting, stratified, or importance sampling with
 	// likelihood-ratio reweighting for deep-low-yield scenarios. The
-	// zero spec runs the historical inline counting path, bit-identical
-	// to releases that predate the sampling subsystem.
+	// zero spec runs plain counting with the result left unlabelled
+	// (Result.Estimator ""), bit-identical to releases that predate the
+	// sampling subsystem.
 	Sampling sampling.Spec
 	// Progress, when non-nil, receives a per-device event at every
 	// checkpoint trial count (and at completion), labelled with the
@@ -105,10 +106,10 @@ func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
 
 // ResolveSamplingMethod applies a per-run estimator override to a
 // scenario-seeded sampling spec: "" inherits the current spec, "none"
-// forces the historical inline path, and any other value selects that
-// estimator method at its default parameters. It is the single
-// definition of the -sampling flag contract for this engine's Config
-// and eval.Config.
+// forces the zero spec (plain counting, unlabelled), and any other
+// value selects that estimator method at its default parameters. It is
+// the single definition of the -sampling flag contract for this
+// engine's Config and eval.Config.
 func ResolveSamplingMethod(current sampling.Spec, method string) sampling.Spec {
 	switch method {
 	case "":
@@ -147,10 +148,11 @@ type Result struct {
 	CIHi   float64
 
 	// Estimator names the sampling estimator that produced the result;
-	// empty for the historical inline counting path. When set, Yield is
-	// the estimator's (possibly weighted) point estimate — Free/Batch
-	// counts raw proposal-level outcomes and is NOT the yield under
-	// importance sampling — and ESS its effective sample size.
+	// empty (with Yield and ESS 0) under the zero sampling spec, which
+	// runs plain counting unlabelled. When set, Yield is the
+	// estimator's (possibly weighted) point estimate — Free/Batch counts
+	// raw proposal-level outcomes and is NOT the yield under importance
+	// sampling — and ESS its effective sample size.
 	Estimator string
 	Yield     float64
 	ESS       float64
@@ -175,63 +177,6 @@ func (r Result) HalfWidth() float64 { return (r.CIHi - r.CILo) / 2 }
 func (r Result) String() string {
 	return fmt.Sprintf("%s: %d/%d (%.4f [%.4f, %.4f])",
 		r.Device, r.Free, r.Batch, r.Fraction(), r.CILo, r.CIHi)
-}
-
-// Simulate estimates the collision-free yield of device d under cfg.
-// With cfg.Precision > 0 it runs adaptively: trials stream in
-// checkpointed blocks until the 95% CI half-width reaches the target or
-// the MaxTrials/Batch budget is spent. Cancelling ctx aborts the
-// campaign within one in-flight trial per worker and returns ctx.Err().
-func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
-	res := Result{Device: d.Name, Qubits: d.N, CIHi: 1}
-	adaptive := cfg.Precision > 0 || cfg.RelPrecision > 0
-	max := cfg.Batch
-	if adaptive && cfg.MaxTrials > 0 {
-		max = cfg.MaxTrials
-	}
-	if max <= 0 {
-		return res, ctx.Err()
-	}
-	checker := collision.NewChecker(d, cfg.Params)
-	newLocal := runner.NewScratch(d.N)
-	lastEmit := -1
-	emit := func(done int) {
-		if cfg.Progress != nil && done != lastEmit {
-			lastEmit = done
-			cfg.Progress(Event{Label: d.Name, Done: done, Total: max})
-		}
-	}
-	if !cfg.Sampling.IsZero() {
-		return simulateEstimated(ctx, d, cfg, checker, max, adaptive, emit)
-	}
-	trial := func(l runner.Scratch, i int) bool {
-		r := l.RNG.At(cfg.Seed, i)
-		cfg.Model.SampleInto(r, d, l.Buf)
-		return checker.Free(l.Buf)
-	}
-	// Both modes run through the checkpointed stream: the fixed mode's
-	// stop is constant-false, so its executed trials and counted
-	// successes are bit-identical to the historical CountLocal path,
-	// while still getting checkpoint-granular progress reporting.
-	var p stats.Proportion
-	stop := func(int) bool { return false }
-	if adaptive {
-		stop = func(int) bool {
-			return (cfg.Precision > 0 && p.HalfWidth(stats.Z95) <= cfg.Precision) ||
-				(cfg.RelPrecision > 0 && p.RelHalfWidth(stats.Z95) <= cfg.RelPrecision)
-		}
-	}
-	trials, err := runner.Stream(ctx, max, cfg.Workers,
-		runner.Checkpoints(adaptiveMinTrials, max), newLocal, trial,
-		func(_ int, ok bool) { p.Add(ok) },
-		func(done int) bool { emit(done); return stop(done) })
-	if err != nil {
-		return Result{}, err
-	}
-	emit(trials)
-	res.Batch, res.Free = p.Trials, p.Successes
-	res.CILo, res.CIHi = stats.Wilson(res.Free, res.Batch, stats.Z95)
-	return res, nil
 }
 
 // freeByConstruction is implemented by estimators whose every
@@ -262,19 +207,33 @@ func auditPeriod(est sampling.Estimator) int {
 	return 1
 }
 
-// simulateEstimated is Simulate's pluggable-estimator path: trials carry
-// a log likelihood-ratio weight from the estimator's proposal through
-// the checkpointed stream, the estimator folds outcomes in index order,
-// and adaptive stopping asks the estimator for its (possibly weighted,
-// ESS-guarded) half-width. Worker-count invariance holds exactly as on
-// the inline path because block planning and observation both happen on
-// the coordinating goroutine at the fixed checkpoint grid.
-func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
-	checker *collision.Checker, max int, adaptive bool, emit func(int)) (Result, error) {
+// Simulate estimates the collision-free yield of device d under cfg.
+// Trials carry a log likelihood-ratio weight from the configured
+// estimator's proposal (0 for plain counting) through the checkpointed
+// stream, and the estimator folds outcomes in index order. Both modes
+// run through the stream: the fixed mode never stops early but still
+// reports progress at every checkpoint. With cfg.Precision or
+// cfg.RelPrecision > 0 it runs adaptively: trials stop at the first
+// checkpoint where the estimator's (possibly weighted, ESS-guarded) 95%
+// CI half-width reaches a target, or when the MaxTrials/Batch budget is
+// spent. Worker-count invariance holds because block planning,
+// observation and stop decisions all happen on the coordinating
+// goroutine at the fixed checkpoint grid. Cancelling ctx aborts the
+// campaign within one in-flight trial per worker and returns ctx.Err().
+func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
+	adaptive := cfg.Precision > 0 || cfg.RelPrecision > 0
+	max := cfg.Batch
+	if adaptive && cfg.MaxTrials > 0 {
+		max = cfg.MaxTrials
+	}
+	if max <= 0 {
+		return Result{Device: d.Name, Qubits: d.N, CIHi: 1}, ctx.Err()
+	}
 	est, err := sampling.New(cfg.Sampling, d, cfg.Model, cfg.Params)
 	if err != nil {
 		return Result{}, err
 	}
+	checker := collision.NewChecker(d, cfg.Params)
 	audit := auditPeriod(est)
 	type outcome struct {
 		ok   bool
@@ -293,37 +252,53 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 		}
 		return outcome{ok: ok, logw: logw}
 	}
-	stop := func(int) bool { return false }
-	if adaptive {
-		stop = func(int) bool {
-			hw := est.HalfWidth(stats.Z95)
-			if cfg.Precision > 0 && hw <= cfg.Precision {
-				return true
-			}
-			if cfg.RelPrecision > 0 {
-				if e := est.Snapshot(stats.Z95); e.Yield > 0 && hw <= cfg.RelPrecision*e.Yield {
-					return true
-				}
-			}
+	lastEmit := -1
+	emit := func(done int) {
+		if cfg.Progress != nil && done != lastEmit {
+			lastEmit = done
+			cfg.Progress(Event{Label: d.Name, Done: done, Total: max})
+		}
+	}
+	// The relative target divides the half-width by the point estimate,
+	// the form stats.Proportion.RelHalfWidth rounds with, so plain
+	// counting takes exactly the stop decisions it always took. A zero
+	// estimate never satisfies it.
+	stop := func(done int) bool {
+		emit(done)
+		if !adaptive {
 			return false
 		}
+		hw := est.HalfWidth(stats.Z95)
+		if cfg.Precision > 0 && hw <= cfg.Precision {
+			return true
+		}
+		if cfg.RelPrecision > 0 {
+			if y := est.Snapshot(stats.Z95).Yield; y > 0 && hw/y <= cfg.RelPrecision {
+				return true
+			}
+		}
+		return false
 	}
 	trials, err := runner.StreamPlanned(ctx, max, cfg.Workers,
 		runner.Checkpoints(adaptiveMinTrials, max), runner.NewScratch(d.N),
 		est.PlanBlock, trial,
-		func(i int, o outcome) { est.Observe(i, o.ok, o.logw) },
-		func(done int) bool { emit(done); return stop(done) })
+		func(i int, o outcome) { est.Observe(i, o.ok, o.logw) }, stop)
 	if err != nil {
 		return Result{}, err
 	}
 	emit(trials)
 	e := est.Snapshot(stats.Z95)
-	return Result{
+	res := Result{
 		Device: d.Name, Qubits: d.N,
 		Batch: e.Trials, Free: e.Successes,
 		CILo: e.CILo, CIHi: e.CIHi,
-		Estimator: e.Estimator, Yield: e.Yield, ESS: e.ESS,
-	}, nil
+	}
+	// The zero spec reports unlabelled results so the artifacts that
+	// render them stay byte-stable.
+	if !cfg.Sampling.IsZero() {
+		res.Estimator, res.Yield, res.ESS = e.Estimator, e.Yield, e.ESS
+	}
+	return res, nil
 }
 
 // Point is one (qubits, yield) sample of a yield-vs-size curve, with
@@ -344,15 +319,16 @@ func MonolithicCurve(ctx context.Context, sizes []int, cfg Config) ([]Point, err
 	outer, inner := runner.Split(cfg.Workers, len(sizes))
 	icfg := cfg
 	icfg.Workers = inner
-	return runner.Map(ctx, len(sizes), outer, func(i int) Point {
+	return runner.MapErr(ctx, len(sizes), outer, func(i int) (Point, error) {
 		d := topo.MonolithicDevice(topo.MonolithicSpec(sizes[i]))
-		// A nested cancellation is surfaced by the outer Map's own
-		// context check, so the per-size error can be dropped here.
-		res, _ := Simulate(ctx, d, icfg)
+		res, err := Simulate(ctx, d, icfg)
+		if err != nil {
+			return Point{}, err
+		}
 		return Point{
 			Qubits: d.N, Yield: res.Fraction(),
 			Trials: res.Batch, CILo: res.CILo, CIHi: res.CIHi,
-		}
+		}, nil
 	})
 }
 
@@ -394,12 +370,11 @@ func ChipletYields(ctx context.Context, cfg Config) ([]Result, error) {
 	outer, inner := runner.Split(cfg.Workers, len(catalog))
 	icfg := cfg
 	icfg.Workers = inner
-	return runner.Map(ctx, len(catalog), outer, func(i int) Result {
+	return runner.MapErr(ctx, len(catalog), outer, func(i int) (Result, error) {
 		cs := catalog[i]
 		d := topo.MonolithicDevice(cs.Spec)
 		d.Name = fmt.Sprintf("chiplet-%d", cs.Qubits)
-		res, _ := Simulate(ctx, d, icfg)
-		return res
+		return Simulate(ctx, d, icfg)
 	})
 }
 
@@ -417,16 +392,16 @@ type SweepCell struct {
 // so total concurrency stays near cfg.Workers.
 func Sweep(ctx context.Context, steps, sigmas []float64, sizes []int, cfg Config) ([]SweepCell, error) {
 	outer, inner := runner.Split(cfg.Workers, len(steps)*len(sigmas))
-	return runner.Map(ctx, len(steps)*len(sigmas), outer, func(i int) SweepCell {
+	return runner.MapErr(ctx, len(steps)*len(sigmas), outer, func(i int) (SweepCell, error) {
 		c := cfg
 		c.Workers = inner
 		c.Model.Plan.Step = steps[i/len(sigmas)]
 		c.Model.Sigma = sigmas[i%len(sigmas)]
-		points, _ := MonolithicCurve(ctx, sizes, c)
+		points, err := MonolithicCurve(ctx, sizes, c)
 		return SweepCell{
 			Step:   c.Model.Plan.Step,
 			Sigma:  c.Model.Sigma,
 			Points: points,
-		}
+		}, err
 	})
 }
