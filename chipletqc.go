@@ -50,7 +50,6 @@ import (
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
 	"chipletqc/internal/runner"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 	"chipletqc/internal/yield"
@@ -239,21 +238,27 @@ func (o YieldOptions) Validate() error {
 	if o.Step != nil && *o.Step < 0 {
 		return fmt.Errorf("chipletqc: YieldOptions.Step %g is negative", *o.Step)
 	}
-	if o.Precision != nil && *o.Precision < 0 {
-		return fmt.Errorf("chipletqc: YieldOptions.Precision %g is negative", *o.Precision)
-	}
-	if o.MaxTrials != nil && *o.MaxTrials < 0 {
-		return fmt.Errorf("chipletqc: YieldOptions.MaxTrials %d is negative", *o.MaxTrials)
-	}
-	if o.RelPrecision != nil && *o.RelPrecision < 0 {
-		return fmt.Errorf("chipletqc: YieldOptions.RelPrecision %g is negative", *o.RelPrecision)
-	}
-	switch o.Sampling {
-	case "", "none", "off", sampling.Plain, sampling.Stratified, sampling.Importance:
-	default:
-		return fmt.Errorf("chipletqc: YieldOptions.Sampling %q unknown (want plain, stratified, importance, or none)", o.Sampling)
+	if err := o.policy(yield.Policy{}).Validate(); err != nil {
+		return fmt.Errorf("chipletqc: YieldOptions: %w", err)
 	}
 	return nil
+}
+
+// policy layers the options' stopping policy over a scenario's: a set
+// pointer replaces the value (Ptr(0.0) forces the historical
+// fixed-batch mode under an adaptive scenario), nil inherits it, and
+// Sampling follows yield.PolicyOverride.
+func (o YieldOptions) policy(p yield.Policy) yield.Policy {
+	if o.Precision != nil {
+		p.Precision = *o.Precision
+	}
+	if o.MaxTrials != nil {
+		p.MaxTrials = *o.MaxTrials
+	}
+	if o.RelPrecision != nil {
+		p.RelPrecision = *o.RelPrecision
+	}
+	return p.With(yield.PolicyOverride{Sampling: o.Sampling})
 }
 
 // SimulateYield estimates the collision-free yield of a device via Monte
@@ -292,19 +297,7 @@ func yieldConfigFromOptions(opts YieldOptions) (yield.Config, error) {
 		cfg.Model.Plan.Step = *opts.Step
 	}
 	cfg.Workers = opts.Workers
-	// nil adaptive knobs inherit the scenario's trial policy; a set
-	// pointer overrides it — including Ptr(0.0), which forces the
-	// historical fixed-batch mode under an adaptive scenario.
-	if opts.Precision != nil {
-		cfg.Precision = *opts.Precision
-	}
-	if opts.MaxTrials != nil {
-		cfg.MaxTrials = *opts.MaxTrials
-	}
-	if opts.RelPrecision != nil {
-		cfg.RelPrecision = *opts.RelPrecision
-	}
-	cfg.Sampling = yield.ResolveSamplingMethod(cfg.Sampling, opts.Sampling)
+	cfg.Policy = opts.policy(cfg.Policy)
 	cfg.Progress = opts.Progress
 	return cfg, nil
 }

@@ -3,10 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
 )
 
 // TestRunSingleSystemSmoke is a tiny end-to-end Fig. 10 run on one MCM
@@ -168,5 +171,25 @@ func TestRunTable2ThroughRegistry(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in artifact output:\n%s", want, got)
 		}
+	}
+}
+
+// TestRunRejectsOutOfRangeFlags: sizes and batches that cannot be run
+// are usage errors at parse time, named on the error stream, and a
+// non-finite trial policy fails before any trial runs.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{{"-rows", "0"}, {"-cols", "0"}, {"-batch", "-1"}, {"-mono", "-1"}, {"-max", "-1"}, {"-samples", "0"}} {
+		var out, errs strings.Builder
+		err := run(context.Background(), args, &out, &errs)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs.String(), args[0]) {
+			t.Errorf("run(%q) = %v (stderr %q), want a usage error naming %s", args, err, errs.String(), args[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) wrote a report:\n%s", args, out.String())
+		}
+	}
+	var out, errs strings.Builder
+	if err := run(context.Background(), []string{"-batch", "10", "-precision", "NaN"}, &out, &errs); err == nil || out.Len() != 0 {
+		t.Errorf("-precision NaN: err %v, report %q; want an error and no report", err, out.String())
 	}
 }

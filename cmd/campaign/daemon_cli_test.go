@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"chipletqc/internal/cli"
 	"chipletqc/internal/daemon"
 )
 
@@ -39,8 +40,8 @@ func TestModeFlagConflicts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, errs, err := runArgs(t, context.Background(), tc.args...)
-			if !errors.Is(err, errUsage) {
-				t.Fatalf("err = %v, want errUsage", err)
+			if !errors.Is(err, cli.ErrUsage) {
+				t.Fatalf("err = %v, want cli.ErrUsage", err)
 			}
 			if !strings.Contains(errs, tc.want) {
 				t.Errorf("usage error does not name the conflict %q:\n%s", tc.want, errs)

@@ -55,42 +55,25 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 
 	"chipletqc/internal/campaign"
+	"chipletqc/internal/cli"
 	"chipletqc/internal/daemon"
 	"chipletqc/internal/generate"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/store"
+	"chipletqc/internal/yield"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		// The engine's errors already carry the package prefix.
-		fmt.Fprintln(os.Stderr, "campaign:", strings.TrimPrefix(err.Error(), "campaign: "))
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("campaign", run) }
 
 // run executes the tool against args, writing the report to out. It is
 // the testable core of the binary.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("campaign", errw)
 	var (
 		experiments = fs.String("experiments", "", "comma-separated experiment names (default: every registered experiment)")
 		scenarios   = fs.String("scenarios", "", "comma-separated device scenario names (default: paper)")
@@ -99,12 +82,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		resume      = fs.Bool("resume", true, "serve cells already in the store instead of re-simulating; -resume=false forces re-execution")
 		shardSpec   = fs.String("shard", "", "run only shard i of n of the cell grid, e.g. 0/2 (default: everything)")
 		quick       = fs.Bool("quick", false, "reduced Monte Carlo batches (smoke scale)")
-		seed        = fs.Int64("seed", 1, "base RNG seed for every cell")
-		workers     = fs.Int("workers", 0, "total worker budget across cells (0 = all CPU cores; results identical either way)")
-		precision   = fs.Float64("precision", 0, "adaptive mode: per-cell 95% CI half-width target (0 = each scenario's policy; negative forces fixed batch)")
-		maxTrials   = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = each scenario's policy; negative resets)")
-		relPrec     = fs.Float64("relprecision", 0, "adaptive mode relative target: per-cell CI half-width as a fraction of the yield (0 = each scenario's policy; negative disables)")
-		smpl        = fs.String("sampling", "", "yield estimator for every cell: plain, stratified, or importance (\"\" = each scenario's policy; none = plain counting, unlabelled)")
+		trial       = cli.TrialFlags(fs)
 		list        = fs.Bool("list", false, "print the expanded cell grid with store hit/miss status and exit")
 		jsonOut     = fs.Bool("json", false, "write the campaign report as JSON to stdout instead of text")
 		progress    = fs.Bool("progress", false, "stream per-cell events to the error stream")
@@ -131,17 +109,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		dstatus  = fs.Bool("status", false, "client: print the daemon's queue and store status")
 		shutdown = fs.Bool("shutdown", false, "client: ask the daemon to drain and exit")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+	if ok, err := cli.Parse(fs, args); !ok {
+		return err
 	}
-	// Which flags did the user actually set? Mode validation below
-	// rejects set-but-ignored flags instead of silently dropping them.
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
 	shard, err := campaign.ParseShard(*shardSpec)
 	if err != nil {
 		return err
@@ -157,14 +127,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	plan := campaign.Plan{
 		Experiments: splitNames(*experiments),
 		Scenarios:   scenarioNames,
-		Seed:        *seed,
+		Seed:        trial.Seed,
 		Quick:       *quick,
 	}
-	if *precision != 0 || *maxTrials != 0 || *relPrec != 0 || *smpl != "" {
-		plan.Overrides = []campaign.Override{{
-			Precision: *precision, MaxTrials: *maxTrials,
-			RelPrecision: *relPrec, Sampling: *smpl,
-		}}
+	if trial.Policy != (yield.PolicyOverride{}) {
+		plan.Overrides = []campaign.Override{{PolicyOverride: trial.Policy}}
 	}
 
 	admin := adminRequest{
@@ -193,12 +160,12 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			clientCount++
 		}
 	}
-	if err := checkModeFlags(explicit, *serve, clientVerb, clientCount, admin, *gcRun, errw); err != nil {
+	if err := checkModeFlags(fs, *serve, clientVerb, clientCount, admin, *gcRun); err != nil {
 		return err
 	}
 
 	if *serve {
-		return runServe(ctx, *storeDir, *addr, *workers, *slots, errw)
+		return runServe(ctx, *storeDir, *addr, trial.Workers, *slots, errw)
 	}
 	if clientCount == 1 {
 		return runClient(ctx, clientArgs{
@@ -215,8 +182,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 
 	if admin.verbs() > 0 {
 		if *storeDir == "" {
-			fmt.Fprintln(errw, "campaign: store admin verbs need -store")
-			return errUsage
+			return cli.Usagef(fs, "store admin verbs need -store")
 		}
 		return runAdmin(*storeDir, admin, plan, shard, out)
 	}
@@ -238,7 +204,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	opts := campaign.Options{
 		Store:   st,
 		Force:   !*resume,
-		Workers: *workers,
+		Workers: trial.Workers,
 		Shard:   shard,
 	}
 	if *progress {
@@ -343,25 +309,22 @@ func writeJSON(w io.Writer, v any) error {
 // -gc-keep without -gc, or a -shard next to -verify, parses fine and
 // then does nothing, so the user believes a cap or a restriction was
 // applied when it was not. Each rejection names the conflict.
-func checkModeFlags(explicit map[string]bool, serve bool, clientVerb string, clientCount int, admin adminRequest, gcRun bool, errw io.Writer) error {
+func checkModeFlags(fs *flag.FlagSet, serve bool, clientVerb string, clientCount int, admin adminRequest, gcRun bool) error {
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if (explicit["gc-keep"] || explicit["gc-max-bytes"]) && !gcRun {
-		fmt.Fprintln(errw, "campaign: -gc-keep and -gc-max-bytes configure -gc, which was not requested; add -gc or drop them")
-		return errUsage
+		return cli.Usagef(fs, "-gc-keep and -gc-max-bytes configure -gc, which was not requested; add -gc or drop them")
 	}
 	adminCount := admin.verbs()
 	switch {
 	case adminCount > 1:
-		fmt.Fprintln(errw, "campaign: pick exactly one admin verb (-verify, -backup, -restore, -prune, -gc, -pin, -unpin)")
-		return errUsage
+		return cli.Usagef(fs, "pick exactly one admin verb (-verify, -backup, -restore, -prune, -gc, -pin, -unpin)")
 	case clientCount > 1:
-		fmt.Fprintln(errw, "campaign: pick exactly one client verb (-submit, -job, -fetch, -status, -shutdown)")
-		return errUsage
+		return cli.Usagef(fs, "pick exactly one client verb (-submit, -job, -fetch, -status, -shutdown)")
 	case serve && (clientCount > 0 || adminCount > 0):
-		fmt.Fprintln(errw, "campaign: -serve runs the daemon; it cannot be combined with client or admin verbs")
-		return errUsage
+		return cli.Usagef(fs, "-serve runs the daemon; it cannot be combined with client or admin verbs")
 	case clientCount > 0 && adminCount > 0:
-		fmt.Fprintf(errw, "campaign: %s talks to a daemon and %s operates on a local store; run them separately\n", clientVerb, admin.verbName())
-		return errUsage
+		return cli.Usagef(fs, "%s talks to a daemon and %s operates on a local store; run them separately", clientVerb, admin.verbName())
 	}
 
 	planFlags := []string{"experiments", "scenarios", "generate", "quick", "seed", "precision", "maxtrials", "relprecision", "sampling"}
@@ -410,9 +373,8 @@ func checkModeFlags(explicit map[string]bool, serve bool, clientVerb string, cli
 	}
 	if len(stray) > 0 {
 		sort.Strings(stray)
-		fmt.Fprintf(errw, "campaign: %s %s no effect with %s; drop %s or change the mode\n",
+		return cli.Usagef(fs, "%s %s no effect with %s; drop %s or change the mode",
 			strings.Join(stray, ", "), plural(len(stray), "has", "have"), mode, plural(len(stray), "it", "them"))
-		return errUsage
 	}
 	return nil
 }
@@ -491,7 +453,7 @@ func runClient(ctx context.Context, c clientArgs, out, errw io.Writer) error {
 		name, fingerprint, ok := strings.Cut(c.fetch, "/")
 		if !ok || name == "" || fingerprint == "" {
 			fmt.Fprintln(errw, "campaign: -fetch wants experiment/fingerprint, e.g. -fetch fig8/0a1b2c3d4e5f")
-			return errUsage
+			return cli.ErrUsage
 		}
 		a, found, err := cl.Artifact(ctx, name, fingerprint)
 		if err != nil {

@@ -33,17 +33,14 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 
 	"chipletqc/internal/campaign"
+	"chipletqc/internal/cli"
 	"chipletqc/internal/daemon"
 	"chipletqc/internal/experiment"
 	"chipletqc/internal/generate"
@@ -52,27 +49,12 @@ import (
 	"chipletqc/internal/store"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "explore:", strings.TrimPrefix(err.Error(), "explore: "))
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("explore", run) }
 
 // run executes the explorer against args, writing the frontier to out
 // and the run summary to errw. It is the testable core of the binary.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("explore", errw)
 	var (
 		grid       = fs.String("grid", "", "compact grid spec `topos=...;sigmas=...;thresholds=...;links=...;base=...` (alternative to the axis flags)")
 		topos      = fs.String("topos", "", "comma-separated topology specs, e.g. hex-3x3-q16,heavy-hex-2x2-q20,stack3d-2x2x3-q9")
@@ -84,21 +66,17 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		resume     = fs.Bool("resume", true, "serve cells already in the store instead of re-simulating; -resume=false forces re-execution")
 		shardSpec  = fs.String("shard", "", "run only shard i of n of the cell grid, e.g. 0/2 (default: everything)")
 		quick      = fs.Bool("quick", false, "reduced Monte Carlo batches (smoke scale)")
-		seed       = fs.Int64("seed", 1, "base RNG seed for every cell")
-		workers    = fs.Int("workers", 0, "total worker budget across cells (0 = all CPU cores; results identical either way)")
+		trial      = cli.SeedFlags(fs)
 		list       = fs.Bool("list", false, "print the expanded cell grid with store hit/miss status and exit")
 		jsonOut    = fs.Bool("json", false, "write the frontier as JSON to stdout instead of a table")
 		progress   = fs.Bool("progress", false, "stream per-cell events to the error stream")
 		addr       = fs.String("addr", "", "daemon `address`: run cells on a campaign daemon instead of locally (it must have been started with the same -generate grid)")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+	if ok, err := cli.Parse(fs, args); !ok {
+		return err
 	}
 
-	baseName, axes, err := parseGrid(*grid, *topos, *sigmas, *thresholds, *links, *base, fs, errw)
+	baseName, axes, err := parseGrid(*grid, *topos, *sigmas, *thresholds, *links, *base, fs)
 	if err != nil {
 		return err
 	}
@@ -126,7 +104,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	plan := campaign.Plan{
 		Experiments: []string{experiment.GenYieldName},
 		Scenarios:   names,
-		Seed:        *seed,
+		Seed:        trial.Seed,
 		Quick:       *quick,
 	}
 	cells, err := campaign.Expand(plan)
@@ -162,7 +140,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	opts := campaign.Options{
 		Store:   st,
 		Force:   !*resume,
-		Workers: *workers,
+		Workers: trial.Workers,
 		Shard:   shard,
 	}
 	if *progress {
@@ -225,7 +203,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 // parseGrid resolves the grid flags into (base scenario name, axes):
 // either the compact -grid spec or the individual axis flags, never
 // both.
-func parseGrid(grid, topos, sigmas, thresholds, links, base string, fs *flag.FlagSet, errw io.Writer) (string, generate.Axes, error) {
+func parseGrid(grid, topos, sigmas, thresholds, links, base string, fs *flag.FlagSet) (string, generate.Axes, error) {
 	if grid != "" {
 		axisSet := false
 		fs.Visit(func(f *flag.Flag) {
@@ -235,14 +213,12 @@ func parseGrid(grid, topos, sigmas, thresholds, links, base string, fs *flag.Fla
 			}
 		})
 		if axisSet {
-			fmt.Fprintln(errw, "explore: -grid already carries the axes; drop -topos/-sigmas/-thresholds/-links/-base")
-			return "", generate.Axes{}, errUsage
+			return "", generate.Axes{}, cli.Usagef(fs, "-grid already carries the axes; drop -topos/-sigmas/-thresholds/-links/-base")
 		}
 		return generate.ParseAxesSpec(grid)
 	}
 	if topos == "" {
-		fmt.Fprintln(errw, "explore: no grid; set -topos (e.g. -topos hex-3x3-q16) or -grid")
-		return "", generate.Axes{}, errUsage
+		return "", generate.Axes{}, cli.Usagef(fs, "no grid; set -topos (e.g. -topos hex-3x3-q16) or -grid")
 	}
 	var spec strings.Builder
 	fmt.Fprintf(&spec, "topos=%s", topos)

@@ -22,66 +22,40 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
+	"chipletqc/internal/cli"
 	"chipletqc/internal/eval"
 	"chipletqc/internal/experiment"
 	"chipletqc/internal/runner"
 	"chipletqc/internal/scenario"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("figures", run) }
 
 // run executes the tool against args, writing progress to out. It is the
 // testable core of the binary.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("figures", errw)
 	var (
-		outDir    = fs.String("out", "results", "output directory")
-		quick     = fs.Bool("quick", false, "reduced Monte Carlo batches")
-		scen      = fs.String("scenario", scenario.PaperName, "device scenario to run under (see -scenarios)")
-		scenList  = fs.Bool("scenarios", false, "list registered device scenarios and exit")
-		seed      = fs.Int64("seed", 1, "RNG seed")
-		workers   = fs.Int("workers", 0, "parallel workers (0 = all CPU cores; results identical either way)")
-		precision = fs.Float64("precision", 0, "adaptive mode: stop yield simulations once their 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
-		maxTrials = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = the scenario's policy, then batch size; negative resets)")
-		relPrec   = fs.Float64("relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-		smpl      = fs.String("sampling", "", "yield estimator: plain, stratified, or importance (\"\" = the scenario's policy; none = plain counting, unlabelled)")
-		list      = fs.Bool("list", false, "list registered experiments and exit")
-		only      = fs.String("only", "", "comma-separated experiment names to run (default: all)")
-		jsonOut   = fs.Bool("json", false, "additionally write the Artifact JSON record per experiment")
-		progress  = fs.Bool("progress", false, "stream per-experiment trial counts to the error stream")
+		outDir   = fs.String("out", "results", "output directory")
+		quick    = fs.Bool("quick", false, "reduced Monte Carlo batches")
+		scen     = fs.String("scenario", scenario.PaperName, "device scenario to run under (see -scenarios)")
+		scenList = fs.Bool("scenarios", false, "list registered device scenarios and exit")
+		trial    = cli.TrialFlags(fs)
+		list     = fs.Bool("list", false, "list registered experiments and exit")
+		only     = fs.String("only", "", "comma-separated experiment names to run (default: all)")
+		jsonOut  = fs.Bool("json", false, "additionally write the Artifact JSON record per experiment")
+		progress = fs.Bool("progress", false, "stream per-experiment trial counts to the error stream")
 	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+	if ok, err := cli.Parse(fs, args); !ok {
+		return err
 	}
 
 	if *list {
@@ -99,21 +73,12 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		return nil
 	}
 
-	scn, err := scenario.Lookup(*scen)
+	cfg, err := trial.Config(*scen, *quick)
 	if err != nil {
 		return err
 	}
-	cfg := eval.ConfigFor(scn, *seed)
 	if *quick {
-		cfg = eval.QuickConfigFor(scn, *seed)
 		cfg.MaxQubits = 200
-	}
-	cfg.Workers = *workers
-	// 0 inherits the scenario's trial policy; negative forces fixed-batch.
-	cfg.ApplyTrialPolicyOverrides(*precision, *maxTrials)
-	cfg.ApplySamplingOverrides(*smpl, *relPrec)
-	if err := cfg.Sampling.Validate(); err != nil {
-		return err
 	}
 	if *progress {
 		cfg.Progress = progressPrinter(errw)

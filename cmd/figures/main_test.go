@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"chipletqc/internal/cli"
 	"chipletqc/internal/experiment"
 )
 
@@ -120,7 +121,7 @@ func TestRunCancelledContext(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var out, errw bytes.Buffer
-	if err := run(context.Background(), []string{"-nope"}, &out, &errw); !errors.Is(err, errUsage) {
-		t.Errorf("err = %v, want errUsage", err)
+	if err := run(context.Background(), []string{"-nope"}, &out, &errw); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("err = %v, want cli.ErrUsage", err)
 	}
 }

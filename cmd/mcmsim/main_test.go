@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
 )
 
 // TestRunSingleSmoke exercises the single-system assembly mode at tiny
@@ -59,5 +61,25 @@ func TestRunRejectsBadChiplet(t *testing.T) {
 	var out, errs strings.Builder
 	if err := run(context.Background(), []string{"-chiplet", "33", "-batch", "10"}, &out, &errs); err == nil {
 		t.Error("non-catalog chiplet size should return an error")
+	}
+}
+
+// TestRunRejectsOutOfRangeFlags: sizes and batches that cannot be run
+// are usage errors at parse time, named on the error stream, and a
+// non-finite trial policy fails before any trial runs.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{{"-rows", "0"}, {"-cols", "-1"}, {"-batch", "-3"}, {"-mono", "-1"}, {"-max", "-1"}} {
+		var out, errs strings.Builder
+		err := run(context.Background(), args, &out, &errs)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs.String(), args[0]) {
+			t.Errorf("run(%q) = %v (stderr %q), want a usage error naming %s", args, err, errs.String(), args[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) wrote a report:\n%s", args, out.String())
+		}
+	}
+	var out, errs strings.Builder
+	if err := run(context.Background(), []string{"-batch", "10", "-precision", "NaN"}, &out, &errs); err == nil || out.Len() != 0 {
+		t.Errorf("-precision NaN: err %v, report %q; want an error and no report", err, out.String())
 	}
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
 )
 
 // TestRunSweepSmoke is a tiny end-to-end run of the default Fig. 4 sweep
@@ -103,5 +106,25 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 	}
 	if !strings.Contains(errs.String(), "-workers") {
 		t.Errorf("usage should document -workers:\n%s", errs.String())
+	}
+}
+
+// TestRunRejectsOutOfRangeFlags: sizes and batches that cannot be run
+// are usage errors at parse time, named on the error stream, and a
+// non-finite trial policy fails before any trial runs.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{{"-batch", "-5"}, {"-max", "-1"}} {
+		var out, errs strings.Builder
+		err := run(context.Background(), args, &out, &errs)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs.String(), args[0]) {
+			t.Errorf("run(%q) = %v (stderr %q), want a usage error naming %s", args, err, errs.String(), args[0])
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) wrote a report:\n%s", args, out.String())
+		}
+	}
+	var out, errs strings.Builder
+	if err := run(context.Background(), []string{"-batch", "10", "-precision", "NaN"}, &out, &errs); err == nil || out.Len() != 0 {
+		t.Errorf("-precision NaN: err %v, report %q; want an error and no report", err, out.String())
 	}
 }

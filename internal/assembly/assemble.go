@@ -114,9 +114,12 @@ type Stats struct {
 // on timeout, set the best chiplet of the failed subset aside and
 // continue with the next subset. The context is checked between
 // candidate subsets; a cancelled ctx returns ctx.Err() and discards the
-// partial assembly.
+// partial assembly. An invalid grid returns mcm.Build's error.
 func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) ([]*AssembledMCM, Stats, error) {
-	dev := mcm.MustBuild(grid)
+	dev, err := mcm.Build(grid)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	checker := collision.NewChecker(dev, cfg.Params)
 	chips := grid.Chips()
 	nPer := b.Chip.N

@@ -1,8 +1,10 @@
 package assembly
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chipletqc/internal/mcm"
@@ -206,6 +208,19 @@ func TestAssembleInsufficientChiplets(t *testing.T) {
 	}
 	if st.Leftover != st.FreeChiplets {
 		t.Error("all free chips should be leftover")
+	}
+}
+
+// An invalid grid is caller input: Assemble returns mcm.Build's error
+// instead of panicking.
+func TestAssembleRejectsInvalidGrid(t *testing.T) {
+	spec := topo.ChipSpec{DenseRows: 2, Width: 8}
+	b := testBatch(t, spec, 20)
+	for _, grid := range []mcm.Grid{{Rows: 0, Cols: 2, Spec: spec}, {Rows: 2, Cols: -1, Spec: spec}} {
+		mods, _, err := Assemble(context.Background(), b, grid, testAssembleConfig(8))
+		if err == nil || !strings.Contains(err.Error(), "at least 1x1") {
+			t.Errorf("Assemble(%dx%d) = %d modules, err %v; want the grid error", grid.Rows, grid.Cols, len(mods), err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"chipletqc/internal/experiment"
 	"chipletqc/internal/report"
 	"chipletqc/internal/store"
+	"chipletqc/internal/yield"
 )
 
 // execLog records every real execution of the counting test
@@ -518,7 +520,7 @@ func TestOverridesChangeFingerprints(t *testing.T) {
 	ref := fp(base)
 	for label, o := range map[string]campaign.Override{
 		"seed":      {Label: "v", Seed: ptr(int64(2))},
-		"precision": {Label: "v", Precision: 0.02},
+		"precision": {Label: "v", PolicyOverride: yield.PolicyOverride{Precision: 0.02}},
 		"mono":      {Label: "v", MonoBatch: 123},
 		"chiplet":   {Label: "v", ChipletBatch: 123},
 		"maxqubits": {Label: "v", MaxQubits: 60},
@@ -527,6 +529,49 @@ func TestOverridesChangeFingerprints(t *testing.T) {
 		p.Overrides = []campaign.Override{o}
 		if fp(p) == ref {
 			t.Errorf("override %s did not change the config fingerprint", label)
+		}
+	}
+}
+
+// TestOverrideWireFormat pins a plan override's JSON bytes: the policy
+// knobs are an embedded yield.PolicyOverride, and daemons and stored
+// plans written before it was factored out must read the same bytes.
+func TestOverrideWireFormat(t *testing.T) {
+	o := campaign.Override{
+		Label: "v",
+		Seed:  ptr(int64(3)),
+		PolicyOverride: yield.PolicyOverride{
+			Precision: 0.01, MaxTrials: 500, RelPrecision: 0.2, Sampling: "importance",
+		},
+		MonoBatch: 1, ChipletBatch: 2, MaxQubits: 3,
+	}
+	got, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"label":"v","seed":3,"precision":0.01,"max_trials":500,"rel_precision":0.2,"sampling":"importance","mono_batch":1,"chiplet_batch":2,"max_qubits":3}`
+	if string(got) != want {
+		t.Errorf("Override JSON\n got %s\nwant %s", got, want)
+	}
+	var back campaign.Override
+	if err := json.Unmarshal([]byte(want), &back); err != nil || !reflect.DeepEqual(back, o) {
+		t.Errorf("Override round trip = %+v, %v; want %+v", back, err, o)
+	}
+}
+
+// TestExpandRejectsBadPolicyOverride: a non-finite target or an
+// unknown estimator fails at expansion, before any cell runs.
+func TestExpandRejectsBadPolicyOverride(t *testing.T) {
+	registerCounting()
+	for _, po := range []yield.PolicyOverride{
+		{Precision: math.NaN()},
+		{RelPrecision: math.Inf(1)},
+		{Sampling: "bogus"},
+	} {
+		p := campaign.Plan{Experiments: []string{"test-count-a"}, Seed: 1,
+			Overrides: []campaign.Override{{Label: "bad", PolicyOverride: po}}}
+		if _, err := campaign.Expand(p); err == nil || !strings.Contains(err.Error(), `override "bad"`) {
+			t.Errorf("Expand(%+v) = %v, want an override error", po, err)
 		}
 	}
 }

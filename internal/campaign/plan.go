@@ -28,7 +28,6 @@ import (
 
 	"chipletqc/internal/eval"
 	"chipletqc/internal/experiment"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/store"
 	"chipletqc/internal/yield"
@@ -48,19 +47,12 @@ type Override struct {
 	Label string `json:"label,omitempty"`
 	// Seed replaces the plan seed for this override's cells.
 	Seed *int64 `json:"seed,omitempty"`
-	// Precision and MaxTrials layer adaptive-mode knobs over the
-	// scenario trial policy with the CLI sentinel semantics
-	// (0 inherits, positive overrides, negative forces fixed batch).
-	Precision float64 `json:"precision,omitempty"`
-	MaxTrials int     `json:"max_trials,omitempty"`
-	// RelPrecision layers the adaptive mode's relative CI target with
-	// the same sentinels, and Sampling selects the yield estimator by
-	// method name ("" inherits the scenario's policy, "none" forces
-	// plain counting, unlabelled; see internal/sampling). Rare-event cells
-	// configured this way fingerprint — and therefore cache — separately
-	// from their plain counterparts.
-	RelPrecision float64 `json:"rel_precision,omitempty"`
-	Sampling     string  `json:"sampling,omitempty"`
+	// PolicyOverride layers the stopping policy and estimator over
+	// each scenario's trial policy through yield.Policy.With (0 or ""
+	// inherits, positive or a method name replaces, negative or "none"
+	// forces zero). Rare-event cells configured this way fingerprint —
+	// and therefore cache — separately from their plain counterparts.
+	yield.PolicyOverride
 	// MonoBatch / ChipletBatch / MaxQubits replace the base config's
 	// batch sizes and size bound when positive; 0 inherits.
 	MonoBatch    int `json:"mono_batch,omitempty"`
@@ -74,8 +66,7 @@ func (o Override) apply(cfg eval.Config, planSeed int64) eval.Config {
 	if o.Seed != nil {
 		cfg.Seed = *o.Seed
 	}
-	cfg.ApplyTrialPolicyOverrides(o.Precision, o.MaxTrials)
-	cfg.ApplySamplingOverrides(o.Sampling, o.RelPrecision)
+	cfg.Policy = cfg.Policy.With(o.PolicyOverride)
 	if o.MonoBatch > 0 {
 		cfg.MonoBatch = o.MonoBatch
 	}
@@ -193,9 +184,9 @@ func Expand(p Plan) ([]Cell, error) {
 			return nil, fmt.Errorf("campaign: duplicate override label %q", o.Label)
 		}
 		seen[o.Label] = true
-		// Fail an unknown estimator name at expansion, not mid-campaign
-		// inside some cell's experiment run.
-		if err := yield.ResolveSamplingMethod(sampling.Spec{}, o.Sampling).Validate(); err != nil {
+		// Fail an unknown estimator or a non-finite target at expansion,
+		// not mid-campaign inside some cell's experiment run.
+		if err := o.PolicyOverride.Validate(); err != nil {
 			return nil, fmt.Errorf("campaign: override %q: %w", o.Label, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -147,6 +148,10 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"negative reshuffles", func(s *Scenario) { s.Assembly.MaxReshuffles = -1 }},
 		{"zero mono batch", func(s *Scenario) { s.Trials.MonoBatch = 0 }},
 		{"negative precision", func(s *Scenario) { s.Trials.Precision = -0.1 }},
+		{"NaN precision", func(s *Scenario) { s.Trials.Precision = math.NaN() }},
+		{"infinite relative precision", func(s *Scenario) { s.Trials.RelPrecision = math.Inf(1) }},
+		{"negative max trials", func(s *Scenario) { s.Trials.MaxTrials = -1 }},
+		{"unknown estimator", func(s *Scenario) { s.Trials.Sampling.Method = "bogus" }},
 	}
 	for _, c := range cases {
 		s := newPaper()

@@ -143,28 +143,10 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 0.1, 10)
-	h.Add(0.05)  // bin 0
-	h.Add(0.15)  // bin 1
-	h.Add(0.999) // bin 9
-	h.Add(-5)    // clamps to bin 0
-	h.Add(99)    // clamps to bin 9
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[9] != 2 {
-		t.Errorf("histogram counts wrong: %v", h.Counts)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	if got := h.BinCenter(1); !almostEqual(got, 0.15, 1e-12) {
-		t.Errorf("BinCenter(1) = %v, want 0.15", got)
-	}
-}
-
+// TestHistogramPanics: BinnedSeries, the package's histogram, refuses
+// invalid bin geometry.
 func TestHistogramPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewHistogram(0, 0.1, 0) },
-		func() { NewHistogram(0, 0, 5) },
 		func() { NewBinnedSeries(0, -1, 5) },
 		func() { NewBinnedSeries(0, 1, 0) },
 	} {
@@ -192,6 +174,14 @@ func TestBinnedSeries(t *testing.T) {
 	}
 	if got := b.All(); len(got) != 3 {
 		t.Errorf("All = %v, want 3 values", got)
+	}
+	b.Add(-5, 4) // clamps to bin 0
+	b.Add(99, 5) // clamps to bin 4
+	if got := b.Bin(0); len(got) != 3 || got[2] != 4 {
+		t.Errorf("Bin(0) after a low outlier = %v, want [1 2 4]", got)
+	}
+	if got := b.Bin(0.4); len(got) != 2 || got[1] != 5 {
+		t.Errorf("Bin(0.4) after a high outlier = %v, want [3 5]", got)
 	}
 }
 

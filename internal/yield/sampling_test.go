@@ -167,21 +167,3 @@ func TestCurvesPropagateSimulateErrors(t *testing.T) {
 		t.Errorf("Sweep returned %+v with a nil error", cells)
 	}
 }
-
-// TestResolveSamplingMethod pins the -sampling flag sentinels: ""
-// inherits, "none"/"off" force the zero spec, anything else selects
-// that method at defaults.
-func TestResolveSamplingMethod(t *testing.T) {
-	scenario := sampling.Spec{Method: sampling.Importance, MinESS: 80}
-	if got := ResolveSamplingMethod(scenario, ""); got != scenario {
-		t.Errorf("empty override should inherit, got %+v", got)
-	}
-	for _, off := range []string{"none", "off"} {
-		if got := ResolveSamplingMethod(scenario, off); !got.IsZero() {
-			t.Errorf("%q should force the zero spec, got %+v", off, got)
-		}
-	}
-	if got := ResolveSamplingMethod(scenario, sampling.Stratified); got.Method != sampling.Stratified {
-		t.Errorf("method override should replace the spec, got %+v", got)
-	}
-}

@@ -51,82 +51,14 @@ type Config struct {
 	// the paper's topo.Catalog.
 	Catalog []topo.ChipletSize
 
-	// Precision switches Simulate into adaptive mode: trials stream in
-	// checkpointed blocks and stop once the 95% Wilson interval on the
-	// yield has half-width <= Precision. 0 keeps the fixed-batch mode,
-	// whose draws are bit-identical to earlier releases.
-	Precision float64
-	// RelPrecision is the adaptive mode's relative target: stop once the
-	// 95% CI half-width <= RelPrecision x the point estimate. It is the
-	// right stopping rule for near-zero yields, where any absolute
-	// target stops long before the event has even been observed; a run
-	// with zero successes can never satisfy it. Either precision target
-	// being met stops the run; 0 disables this one.
-	RelPrecision float64
-	// MaxTrials caps the adaptive mode's budget; <= 0 falls back to
-	// Batch, so adaptive runs never exceed the fixed default's cost.
-	MaxTrials int
-	// Sampling selects the yield estimator (see internal/sampling):
-	// plain counting, stratified, or importance sampling with
-	// likelihood-ratio reweighting for deep-low-yield scenarios. The
-	// zero spec runs plain counting with the result left unlabelled
-	// (Result.Estimator ""), bit-identical to releases that predate the
-	// sampling subsystem.
-	Sampling sampling.Spec
+	// Policy is the adaptive stopping rule and estimator; the zero
+	// policy runs the fixed batch with plain counting.
+	Policy
 	// Progress, when non-nil, receives a per-device event at every
 	// checkpoint trial count (and at completion), labelled with the
 	// device name. It may be called concurrently from different
 	// simulations of a sweep and must be safe for concurrent use.
 	Progress func(Event)
-}
-
-// ResolveTrialPolicy applies a per-run override to one adaptive-policy
-// value already seeded from a scenario: 0 inherits the current value, a
-// positive override replaces it, and a negative override forces the
-// zero value (the CLI sentinel for "fixed-batch mode, whatever the
-// scenario says"). It is the single definition of that contract for
-// both this engine's Config and eval.Config.
-func ResolveTrialPolicy[T float64 | int](current, override T) T {
-	switch {
-	case override > 0:
-		return override
-	case override < 0:
-		return 0
-	}
-	return current
-}
-
-// ApplyTrialPolicyOverrides layers per-run adaptive knobs over the
-// scenario trial policy already on the config; see ResolveTrialPolicy
-// for the sentinel semantics.
-func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
-	c.Precision = ResolveTrialPolicy(c.Precision, precision)
-	c.MaxTrials = ResolveTrialPolicy(c.MaxTrials, maxTrials)
-}
-
-// ResolveSamplingMethod applies a per-run estimator override to a
-// scenario-seeded sampling spec: "" inherits the current spec, "none"
-// forces the zero spec (plain counting, unlabelled), and any other
-// value selects that estimator method at its default parameters. It is
-// the single definition of the -sampling flag contract for this
-// engine's Config and eval.Config.
-func ResolveSamplingMethod(current sampling.Spec, method string) sampling.Spec {
-	switch method {
-	case "":
-		return current
-	case "none", "off":
-		return sampling.Spec{}
-	}
-	return sampling.Spec{Method: method}
-}
-
-// ApplySamplingOverrides layers per-run estimator and relative-precision
-// knobs over the scenario trial policy already on the config; method
-// follows ResolveSamplingMethod, relPrecision the ResolveTrialPolicy
-// sentinels.
-func (c *Config) ApplySamplingOverrides(method string, relPrecision float64) {
-	c.Sampling = ResolveSamplingMethod(c.Sampling, method)
-	c.RelPrecision = ResolveTrialPolicy(c.RelPrecision, relPrecision)
 }
 
 // adaptiveMinTrials is the first early-stop checkpoint: small enough

@@ -3,6 +3,7 @@ package chipletqc
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -109,6 +110,32 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, _, err := AssembleMCMs(ctx, batch, 2, 2, AssembleOptions{MaxReshuffles: Ptr(-1)}); err == nil {
 		t.Error("negative MaxReshuffles should fail validation")
+	}
+}
+
+// A grid below 1x1 and a non-finite or unknown trial policy are caller
+// input: each returns an error instead of panicking or silently running
+// the scenario's policy.
+func TestBadGridAndPolicyAreErrors(t *testing.T) {
+	ctx := context.Background()
+	batch := fabricateBatch(t, 20, 50, BatchOptions{Seed: 1})
+	if _, _, err := AssembleMCMs(ctx, batch, 0, 2, AssembleOptions{Seed: 1}); err == nil {
+		t.Error("AssembleMCMs with 0 rows should fail")
+	}
+	for _, opts := range []YieldOptions{
+		{Batch: 300, Precision: Ptr(math.NaN())},
+		{Batch: 300, RelPrecision: Ptr(math.Inf(1))},
+		{Batch: 300, MaxTrials: Ptr(-1)},
+		{Batch: 300, Sampling: "bogus"},
+	} {
+		if res, err := SimulateYield(ctx, Monolithic(20), opts); err == nil {
+			t.Errorf("SimulateYield(%+v) ran %d trials with a nil error", opts, res.Batch)
+		}
+	}
+	for _, name := range []string{"", "none", "off", "plain", "stratified", "importance"} {
+		if err := (YieldOptions{Sampling: name}).Validate(); err != nil {
+			t.Errorf("Sampling %q: %v", name, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package chipletqc
 import (
 	"chipletqc/internal/eval"
 	"chipletqc/internal/scenario"
+	"chipletqc/internal/yield"
 )
 
 // Scenario re-exports: a Scenario is a pluggable, registrable device
@@ -33,8 +34,16 @@ type (
 	DetuningSpec = scenario.DetuningSpec
 	// AssemblyPolicy is a scenario's MCM stitching policy.
 	AssemblyPolicy = scenario.AssemblyPolicy
-	// TrialPolicy is a scenario's default Monte Carlo budget.
+	// TrialPolicy is a scenario's default Monte Carlo budget: batch
+	// sizes plus an embedded YieldPolicy.
 	TrialPolicy = scenario.TrialPolicy
+	// YieldPolicy is the Monte Carlo stopping policy (precision
+	// targets, trial cap, estimator) that TrialPolicy and
+	// ExperimentConfig embed.
+	YieldPolicy = yield.Policy
+	// YieldPolicyOverride is a per-run policy adjustment in sentinel
+	// form, embedded in CampaignOverride.
+	YieldPolicyOverride = yield.PolicyOverride
 )
 
 // Preset scenario names (registered at init, paper-first).
