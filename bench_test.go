@@ -7,7 +7,7 @@ package chipletqc
 //	go test -bench=. -benchmem
 //
 // Benchmarks run at reduced Monte Carlo scale so the full suite
-// completes in minutes; cmd/figures runs the paper-scale versions and
+// completes in minutes; `chipletqc run` runs the paper-scale versions and
 // writes the full row/series output. Key reproduced quantities are
 // attached to each benchmark via ReportMetric so regressions in the
 // *shape* of the results (who wins, by what factor) are visible in CI.

@@ -31,9 +31,10 @@ import (
 // backend (manifest-indexed, GC-able, snapshot-able), OpenMemStore an
 // in-memory backend for tests and ephemeral sweeps, and any custom
 // backend passing the internal/store/storetest conformance suite slots
-// in the same way. The cmd/campaign binary wraps exactly this API
-// (-experiments, -scenarios, -store, -resume, -shard i/n, -json) plus
-// the store admin verbs (-verify, -backup, -restore, -prune, -gc).
+// in the same way. `chipletqc campaign` wraps exactly this API
+// (-experiments, -scenarios, -store, -resume, -shard i/n, -json), and
+// the store admin verbs (verify, backup, restore, prune, gc) sit
+// beside it.
 type (
 	// CampaignPlan is the cross product a campaign runs: experiment
 	// names × scenario names × config overrides.
@@ -160,7 +161,7 @@ func RunCampaign(ctx context.Context, p CampaignPlan, opts CampaignOptions) (Cam
 }
 
 // ExpandCampaign returns the plan's full ordered cell grid without
-// running it — the dry-run view the cmd/campaign -list flag renders.
+// running it — the dry-run view `chipletqc campaign -list` renders.
 func ExpandCampaign(p CampaignPlan) ([]CampaignCell, error) { return campaign.Expand(p) }
 
 // ParseCampaignShard parses the CLI shard form "i/n" ("" = unsharded).

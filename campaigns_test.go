@@ -82,7 +82,7 @@ func TestRunCampaignWithCallerRegistrations(t *testing.T) {
 }
 
 // TestExpandCampaignDryRun pins the facade grid view used by
-// `campaign -list`.
+// `chipletqc campaign -list`.
 func TestExpandCampaignDryRun(t *testing.T) {
 	cells, err := chipletqc.ExpandCampaign(chipletqc.CampaignPlan{
 		Experiments: []string{"fig2", "eq1"},

@@ -29,12 +29,12 @@
 //	compiled, _ := chipletqc.Compile(circ, mcmDev)
 //
 // Every figure and table of the paper's evaluation is a named, runnable
-// unit of the Experiment registry (see experiments.go and the
-// cmd/figures binary: `figures -list`, `figures -only fig8 -json`),
+// unit of the Experiment registry (see experiments.go and
+// `chipletqc run -list`, `chipletqc run -only fig8 -json`),
 // every device world is a registrable Scenario (scenarios.go), and
 // their cross product runs as one cached, resumable, shardable job
-// through the campaign engine (campaigns.go and the cmd/campaign
-// binary). ARCHITECTURE.md maps the full layer stack and the
+// through the campaign engine (campaigns.go and `chipletqc
+// campaign`). ARCHITECTURE.md maps the full layer stack and the
 // extension points.
 package chipletqc
 

@@ -160,7 +160,7 @@ func ExampleSimulateYield() {
 
 // ExampleLookupExperiment runs a paper workload by name through the
 // Experiment registry and renders its self-describing artifact — the
-// same machinery behind `figures -only fig2 -json`.
+// same machinery behind `chipletqc run -only fig2 -json`.
 func ExampleLookupExperiment() {
 	exp, ok := chipletqc.LookupExperiment("fig2")
 	if !ok {
@@ -202,7 +202,7 @@ func ExampleRegisterScenario() {
 // ExampleRunCampaign sweeps an experiment across two device scenarios
 // against a fingerprint-keyed artifact store: the first run simulates
 // every cell, the identical second run is served entirely from the
-// store — the resume/caching machinery behind the cmd/campaign binary.
+// store — the resume/caching machinery behind `chipletqc campaign`.
 func ExampleRunCampaign() {
 	dir, err := os.MkdirTemp("", "campaign-example-")
 	if err != nil {

@@ -86,7 +86,7 @@ func main() {
 		width, res.Counts, res.SwapsInserted)
 
 	// The Experiment registry makes every paper workload addressable by
-	// name (the same catalog cmd/figures runs: `figures -list`). Each
+	// name (the same catalog `chipletqc run` runs: `chipletqc run -list`). Each
 	// run yields a self-describing Artifact with a stable text
 	// rendering and a JSON form for machine consumption.
 	fmt.Println("\nregistered experiments:")

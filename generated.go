@@ -24,7 +24,7 @@ import (
 //		Experiments: []string{"genyield"}, Scenarios: names,
 //	}, chipletqc.CampaignOptions{})
 //
-// The cmd/explore binary wraps this flow end to end and reports the
+// `chipletqc explore` wraps this flow end to end and reports the
 // Pareto frontier of yield versus fabrication spread versus device
 // size; the generatortest subpackage is the conformance suite every
 // topology family must pass.

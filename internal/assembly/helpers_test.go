@@ -23,7 +23,7 @@ func testBatchConfig(seed int64) BatchConfig {
 	return BatchConfig{
 		Fab:    fab.DefaultModel(),
 		Params: collision.DefaultParams(),
-		Det:    noise.DefaultDetuningModel(seed),
+		Det:    noise.NewDetuningModel(noise.DefaultCalibration(seed), noise.BinWidthFig7),
 		Seed:   seed,
 	}
 }

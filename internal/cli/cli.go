@@ -1,8 +1,6 @@
-// Package cli is the surface the cmd/ binaries share: one process entry
-// point, one usage-error convention, the trial flags every Monte Carlo
-// binary declares, and one table emitter. Each binary keeps a testable
-// run(ctx, args, out, errw) core and declares its own mode flags; the
-// flags and behaviour that used to be copied between them live here.
+// Package cli is the surface cmd/chipletqc's verbs share: one process
+// entry point, one usage-error convention, the trial flags every Monte
+// Carlo verb declares, and one table emitter.
 package cli
 
 import (
@@ -11,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -71,12 +70,26 @@ func Usagef(fs *flag.FlagSet, format string, args ...any) error {
 	return ErrUsage
 }
 
-// AtLeast rejects, as a usage error, any of the named int flags whose
-// value is below min.
-func AtLeast(fs *flag.FlagSet, min int, names ...string) error {
+// AtLeast rejects, as a usage error, any of the named int, int64 or
+// float64 flags whose value is below min, and any float flag that is
+// not finite.
+func AtLeast(fs *flag.FlagSet, min float64, names ...string) error {
 	for _, name := range names {
-		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < min {
-			return Usagef(fs, "-%s %d must be at least %d", name, v, min)
+		v := fs.Lookup(name).Value.(flag.Getter).Get()
+		var x float64
+		switch v := v.(type) {
+		case int:
+			x = float64(v)
+		case int64:
+			x = float64(v)
+		case float64:
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return Usagef(fs, "-%s %v must be a finite number", name, v)
+			}
+			x = v
+		}
+		if x < min {
+			return Usagef(fs, "-%s %v must be at least %v", name, v, min)
 		}
 	}
 	return nil
@@ -90,24 +103,31 @@ type Trial struct {
 	Policy  yield.PolicyOverride
 }
 
-// SeedFlags declares -seed and -workers alone, for binaries whose
-// trial policy comes from elsewhere.
-func SeedFlags(fs *flag.FlagSet) *Trial {
-	t := &Trial{}
-	fs.Int64Var(&t.Seed, "seed", 1, "base RNG seed")
-	fs.IntVar(&t.Workers, "workers", 0, "total parallel workers (0 = all CPU cores; results identical either way)")
-	return t
-}
+// TrialSet selects which of the trial flags a verb declares.
+type TrialSet uint8
 
-// TrialFlags declares -seed and -workers plus the four policy flags
-// -precision, -maxtrials, -relprecision and -sampling, with the
-// yield.PolicyOverride sentinels.
-func TrialFlags(fs *flag.FlagSet) *Trial {
-	t := SeedFlags(fs)
-	fs.Float64Var(&t.Policy.Precision, "precision", 0, "adaptive mode: stop each yield simulation once its 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
-	fs.IntVar(&t.Policy.MaxTrials, "maxtrials", 0, "adaptive mode trial budget per simulation (0 = the scenario's policy, then batch size; negative resets)")
-	fs.Float64Var(&t.Policy.RelPrecision, "relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-	fs.StringVar(&t.Policy.Sampling, "sampling", "", "yield estimator: plain, stratified, or importance (\"\" = the scenario's policy; none = plain counting, unlabelled)")
+const (
+	Seed    TrialSet = 1 << iota // -seed
+	Workers                      // -workers
+	Policy                       // -precision -maxtrials -relprecision -sampling
+)
+
+// TrialFlags declares the selected trial flags on fs: -seed, -workers
+// and the four policy flags with the yield.PolicyOverride sentinels.
+func TrialFlags(fs *flag.FlagSet, which TrialSet) *Trial {
+	t := &Trial{Seed: 1}
+	if which&Seed != 0 {
+		fs.Int64Var(&t.Seed, "seed", 1, "base RNG seed")
+	}
+	if which&Workers != 0 {
+		fs.IntVar(&t.Workers, "workers", 0, "total parallel workers (0 = all CPU cores; results identical either way)")
+	}
+	if which&Policy != 0 {
+		fs.Float64Var(&t.Policy.Precision, "precision", 0, "adaptive mode: stop each yield simulation once its 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
+		fs.IntVar(&t.Policy.MaxTrials, "maxtrials", 0, "adaptive mode trial budget per simulation (0 = the scenario's policy, then batch size; negative resets)")
+		fs.Float64Var(&t.Policy.RelPrecision, "relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
+		fs.StringVar(&t.Policy.Sampling, "sampling", "", "yield estimator: plain, stratified, or importance (\"\" = the scenario's policy; none = plain counting, unlabelled)")
+	}
 	return t
 }
 

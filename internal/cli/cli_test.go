@@ -18,7 +18,7 @@ func TestTrialConfig(t *testing.T) {
 	parse := func(args ...string) *cli.Trial {
 		t.Helper()
 		fs := cli.NewFlagSet("test", io.Discard)
-		trial := cli.TrialFlags(fs)
+		trial := cli.TrialFlags(fs, cli.Seed|cli.Workers|cli.Policy)
 		if ok, err := cli.Parse(fs, args); !ok {
 			t.Fatalf("Parse(%q): %v", args, err)
 		}
@@ -71,5 +71,38 @@ func TestParseAndAtLeast(t *testing.T) {
 	}
 	if err := cli.AtLeast(fs, 1, "rows"); !errors.Is(err, cli.ErrUsage) || errw.String() != "tool: -rows 0 must be at least 1\n" {
 		t.Errorf("AtLeast(1) on 0: %v, output %q", err, errw.String())
+	}
+}
+
+// TestAtLeastFloatAndInt64: float64 and int64 flags are range-checked
+// like ints (AtLeast used to panic on them), and a float that is not
+// finite is rejected whatever the bound: NaN compares false against
+// everything, so without the check it passed every gate.
+func TestAtLeastFloatAndInt64(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-tol", "0.1", "-cap", "5"}, ""},
+		{[]string{"-tol", "0"}, ""},
+		{[]string{"-tol", "-0.05"}, "tool: -tol -0.05 must be at least 0\n"},
+		{[]string{"-tol", "NaN"}, "tool: -tol NaN must be a finite number\n"},
+		{[]string{"-tol", "+Inf"}, "tool: -tol +Inf must be a finite number\n"},
+		{[]string{"-cap", "-1"}, "tool: -cap -1 must be at least 0\n"},
+	} {
+		var errw strings.Builder
+		fs := cli.NewFlagSet("tool", &errw)
+		fs.Float64("tol", 0, "tolerance")
+		fs.Int64("cap", 0, "cap")
+		if ok, err := cli.Parse(fs, tc.args); !ok {
+			t.Fatalf("Parse(%q): %v", tc.args, err)
+		}
+		err := cli.AtLeast(fs, 0, "tol", "cap")
+		if tc.want == "" && err != nil {
+			t.Errorf("%q: %v", tc.args, err)
+		}
+		if tc.want != "" && (!errors.Is(err, cli.ErrUsage) || errw.String() != tc.want) {
+			t.Errorf("%q: %v, output %q, want %q", tc.args, err, errw.String(), tc.want)
+		}
 	}
 }

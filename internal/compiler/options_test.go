@@ -118,7 +118,7 @@ func TestErrorAwareRoutingImprovesFidelity(t *testing.T) {
 	dev := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(31))
 	f := fab.DefaultModel().Sample(r, dev)
-	a := noise.Assign(r, dev, f, noise.DefaultDetuningModel(32), noise.DefaultLinkModel())
+	a := noise.Assign(r, dev, f, noise.NewDetuningModel(noise.DefaultCalibration(32), noise.BinWidthFig7), noise.DefaultLinkModel())
 
 	logF := func(res *Result) float64 {
 		var sum float64

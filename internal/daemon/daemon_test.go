@@ -437,7 +437,7 @@ var registerFailing = sync.OnceFunc(func() {
 
 // TestServeListensAndDrainsOnContext exercises the real network path:
 // ListenAndServe on a loopback port, a submission over TCP, then
-// context cancellation (the SIGTERM path in cmd/campaign) must return
+// context cancellation (the SIGTERM path in `chipletqc serve`) must return
 // nil after a clean drain.
 func TestServeListensAndDrainsOnContext(t *testing.T) {
 	registerDaemonExperiments()

@@ -162,29 +162,6 @@ func AdaptiveDistances(d *topo.Device, a noise.Assignment, pth, target float64) 
 	return out
 }
 
-// DistanceSpread summarises an adaptive-distance recommendation: the
-// minimum and maximum viable distances and how many chips fail the
-// threshold outright.
-func DistanceSpread(cds []ChipDistance) (min, max, failing int) {
-	min = math.MaxInt32
-	for _, cd := range cds {
-		if cd.AboveThreshold {
-			failing++
-			continue
-		}
-		if cd.Distance < min {
-			min = cd.Distance
-		}
-		if cd.Distance > max {
-			max = cd.Distance
-		}
-	}
-	if min == math.MaxInt32 {
-		min = 0
-	}
-	return min, max, failing
-}
-
 // meanCouplingError is a convenience for tests and examples.
 func meanCouplingError(a noise.Assignment) float64 {
 	var xs []float64

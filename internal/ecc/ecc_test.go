@@ -141,7 +141,7 @@ func TestAdaptiveDistances(t *testing.T) {
 		t.Errorf("good chip distance %d should be below noisy chip %d",
 			cds[0].Distance, cds[1].Distance)
 	}
-	min, max, failing := DistanceSpread(cds)
+	min, max, failing := distanceSpread(cds)
 	if failing != 0 || min != cds[0].Distance || max != cds[1].Distance {
 		t.Errorf("spread = %d %d %d", min, max, failing)
 	}
@@ -153,7 +153,7 @@ func TestAdaptiveDistancesAboveThreshold(t *testing.T) {
 	if !cds[0].AboveThreshold || cds[0].Distance != 0 {
 		t.Errorf("2%% errors should fail: %+v", cds[0])
 	}
-	min, max, failing := DistanceSpread(cds)
+	min, max, failing := distanceSpread(cds)
 	if failing != 1 || min != 0 || max != 0 {
 		t.Errorf("spread = %d %d %d", min, max, failing)
 	}
@@ -165,7 +165,7 @@ func TestRealisticDeviceNeedsBetterGates(t *testing.T) {
 	dev := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 4, Width: 12})
 	r := rand.New(rand.NewSource(3))
 	f := fab.DefaultModel().Sample(r, dev)
-	a := noise.Assign(r, dev, f, noise.DefaultDetuningModel(4), noise.DefaultLinkModel())
+	a := noise.Assign(r, dev, f, noise.NewDetuningModel(noise.DefaultCalibration(4), noise.BinWidthFig7), noise.DefaultLinkModel())
 	rep := Analyze(dev, a, HeavyHexThreshold)
 	if rep.Qualifies() {
 		t.Error("state-of-art errors should not qualify for the heavy-hex code")
@@ -176,4 +176,27 @@ func TestRealisticDeviceNeedsBetterGates(t *testing.T) {
 	if got := meanCouplingError(a); math.Abs(got-rep.MeanError) > 1e-12 {
 		t.Errorf("mean mismatch: %v vs %v", got, rep.MeanError)
 	}
+}
+
+// distanceSpread summarises an adaptive-distance recommendation: the
+// minimum and maximum viable distances and how many chips fail the
+// threshold outright.
+func distanceSpread(cds []ChipDistance) (min, max, failing int) {
+	min = math.MaxInt32
+	for _, cd := range cds {
+		if cd.AboveThreshold {
+			failing++
+			continue
+		}
+		if cd.Distance < min {
+			min = cd.Distance
+		}
+		if cd.Distance > max {
+			max = cd.Distance
+		}
+	}
+	if min == math.MaxInt32 {
+		min = 0
+	}
+	return min, max, failing
 }

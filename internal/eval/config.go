@@ -71,12 +71,11 @@ type Config struct {
 	// affects results.
 	Progress func(Event)
 
-	// Registry knobs: the per-experiment parameters the cmd/figures
-	// catalog passed positionally before the Experiment registry
-	// existed. Entry points that take these values as explicit
-	// arguments (Fig4, Fig6, Fig10) ignore the Config fields; the
-	// registry wrappers read them. Zero values fall back to the
-	// paper-scale defaults inside each experiment.
+	// Registry knobs: per-experiment parameters. Entry points that take
+	// these values as explicit arguments (Fig4, Fig6, Fig10) ignore the
+	// Config fields; the Experiment registry wrappers read them. Zero
+	// values fall back to the paper-scale defaults inside each
+	// experiment.
 	Fig4MaxQubits int // Fig. 4 size-ladder bound (paper: ~10^3)
 	Fig6Batch     int // Fig. 6 chiplet batch (paper: 10^5)
 	Fig6MaxDim    int // Fig. 6 largest square dimension (default 7)

@@ -3,15 +3,15 @@
 // named, discoverable Experiment that runs under a context and returns
 // a self-describing, JSON-serializable Artifact.
 //
-// The design replaces the previous facade of ~40 free functions and the
-// ad-hoc per-figure writers in cmd/figures with three pieces:
+// The engine has three pieces:
 //
 //   - Experiment: a named unit of work with a ctx-first Run method;
 //   - Artifact: its machine-consumable result (name, seed, config
 //     fingerprint, wall time, trials used, payload table) with a stable
 //     text rendering;
 //   - the registry (Register/Lookup/All): the catalog the CLIs and the
-//     public facade enumerate (`figures -list`, `figures -only fig8`).
+//     public facade enumerate (`chipletqc run -list`, `chipletqc run
+//     -only fig8`).
 //
 // Every paper figure/table registers itself in catalog.go; external
 // callers can Register additional experiments through the facade.
@@ -26,31 +26,11 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"chipletqc/internal/eval"
 	"chipletqc/internal/report"
 )
-
-// RunAndRender executes the named registry experiment under ctx and
-// renders its artifact to w as text (or CSV when csv is set) — the
-// shared core of the CLI figure modes (mcmsim -fig8/-fig9,
-// benchrun -table2/-all).
-func RunAndRender(ctx context.Context, name string, cfg eval.Config, w io.Writer, csv bool) error {
-	e, ok := Lookup(name)
-	if !ok {
-		return fmt.Errorf("experiment %q is not registered", name)
-	}
-	a, err := e.Run(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	if csv {
-		return a.WriteCSV(w)
-	}
-	return a.WriteText(w)
-}
 
 // Experiment is one named, cancellable workload. Run must honour ctx
 // (cancellation returns ctx.Err() promptly) and must be deterministic

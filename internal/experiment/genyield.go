@@ -8,7 +8,8 @@ import (
 )
 
 // GenYieldName is the registry name of the generated-device yield
-// experiment driven by internal/generate scenarios and cmd/explore.
+// experiment driven by internal/generate scenarios and `chipletqc
+// explore`.
 const GenYieldName = "genyield"
 
 // Column headers of the genyield payload table, exported so frontier

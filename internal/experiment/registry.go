@@ -6,7 +6,7 @@ import (
 )
 
 // The registry maps experiment names to implementations. Registration
-// order is preserved so listings and the default `figures` run follow
+// order is preserved so listings and the default `chipletqc run` follow
 // the paper's figure order.
 var (
 	regMu    sync.RWMutex

@@ -9,8 +9,6 @@
 //	SigmaLaserTuned   = 0.014  GHz  post laser-annealing precision [32]
 //	SigmaScalingGoal  = 0.006  GHz  the projected threshold for >10^3
 //	                                qubit devices under Table I criteria
-//
-// plus SigmaZhang = 0.0185 GHz, the precision reported by Zhang et al.
 package fab
 
 import (
@@ -26,7 +24,6 @@ const (
 	SigmaAsFabricated = 0.1323
 	SigmaLaserTuned   = 0.014
 	SigmaScalingGoal  = 0.006
-	SigmaZhang        = 0.0185
 )
 
 // Model is a fabrication process: a frequency plan plus a precision.

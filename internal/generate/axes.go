@@ -181,8 +181,8 @@ func Ensure(gens []Gen) ([]string, error) {
 	return names, nil
 }
 
-// ParseAxesSpec parses the compact one-string grid syntax shared by the
-// CLIs (cmd/explore's -grid, cmd/campaign's -generate):
+// ParseAxesSpec parses the compact one-string grid syntax of chipletqc's
+// -generate flag (the campaign, explore, serve, submit and pin verbs):
 //
 //	topos=hex-2x2-q10,square-2x2-q10;sigmas=0.01,0.014;thresholds=0.5,1;links=0.0075;base=paper
 //

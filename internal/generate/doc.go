@@ -8,7 +8,7 @@
 // work for generated worlds exactly as they do for the hand-written
 // presets.
 //
-// The package is the data layer of cmd/explore: Scenarios expands a
+// The package is the data layer of `chipletqc explore`: Scenarios expands a
 // base preset and an Axes grid into scenario values, Ensure registers
 // them idempotently (re-registration with an identical fingerprint is a
 // no-op; a conflicting redefinition is an error), and MarkPareto

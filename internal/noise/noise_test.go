@@ -48,7 +48,7 @@ func TestSampleEdgeErrorClamps(t *testing.T) {
 func TestFig7PooledStatistics(t *testing.T) {
 	// The synthetic Washington calibration must reproduce the paper's
 	// Fig. 7 annotations: median ~0.012, average ~0.018.
-	m := DefaultDetuningModel(41)
+	m := defaultDetuningModel(41)
 	median, mean := m.PooledStats()
 	if median < 0.008 || median > 0.016 {
 		t.Errorf("pooled median = %v, want ~0.012", median)
@@ -206,7 +206,7 @@ func TestAssignCoversEveryCoupling(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(12))
 	f := fab.DefaultModel().Sample(r, d)
-	det := DefaultDetuningModel(13)
+	det := defaultDetuningModel(13)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	if len(a.Err) != d.G.M() {
 		t.Fatalf("assigned %d errors, want %d", len(a.Err), d.G.M())
@@ -227,7 +227,7 @@ func TestAssignLinksAreNoisierAtStateOfArt(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 3, Cols: 3, Spec: topo.ChipSpec{DenseRows: 4, Width: 12}})
 	r := rand.New(rand.NewSource(21))
 	f := fab.DefaultModel().Sample(r, d)
-	det := DefaultDetuningModel(22)
+	det := defaultDetuningModel(22)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	var link, chip []float64
 	for e, err := range a.Err {
@@ -250,7 +250,7 @@ func TestAssignmentAccessors(t *testing.T) {
 	d := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 1, Width: 8})
 	r := rand.New(rand.NewSource(30))
 	f := fab.DefaultModel().Sample(r, d)
-	det := DefaultDetuningModel(31)
+	det := defaultDetuningModel(31)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	e := d.G.Edges()[0]
 	if a.Get(e.U, e.V) != a.Err[e] || a.Get(e.V, e.U) != a.Err[e] {
@@ -286,4 +286,10 @@ func TestWashingtonSpecSize(t *testing.T) {
 	if q := spec.Qubits(); q < 120 || q > 134 {
 		t.Errorf("Washington-class spec has %d qubits, want ~127", q)
 	}
+}
+
+// defaultDetuningModel builds the model from the reference synthetic
+// Washington calibration set.
+func defaultDetuningModel(seed int64) *DetuningModel {
+	return NewDetuningModel(DefaultCalibration(seed), BinWidthFig7)
 }

@@ -163,12 +163,12 @@ func TestValidateCatchesBadFields(t *testing.T) {
 }
 
 // The paper scenario's detuning model must be the exact model the
-// pre-scenario code built via noise.DefaultDetuningModel: same
+// pre-scenario code built from the default calibration set: same
 // calibration run, same binning, hence identical samples.
 func TestPaperDetuningModelMatchesLegacyDefault(t *testing.T) {
 	const seed = 99
 	got := Paper().DetuningModel(seed)
-	want := noise.DefaultDetuningModel(seed)
+	want := noise.NewDetuningModel(noise.DefaultCalibration(seed), noise.BinWidthFig7)
 	r1 := rand.New(rand.NewSource(1))
 	r2 := rand.New(rand.NewSource(1))
 	for _, det := range []float64{0, 0.05, 0.165, 0.33, 0.6} {

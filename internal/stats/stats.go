@@ -9,16 +9,11 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
 
-// ErrEmpty is returned by reducers that require at least one sample.
-var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean of xs. It returns 0 for an empty slice;
-// callers that must distinguish use MeanChecked.
+// Mean returns the arithmetic mean of xs. It returns 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -28,14 +23,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// MeanChecked is Mean with an explicit empty-input error.
-func MeanChecked(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return Mean(xs), nil
 }
 
 // Variance returns the unbiased (n-1) sample variance of xs.

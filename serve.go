@@ -28,8 +28,8 @@ import (
 // Cancelling the context (or POST /v1/shutdown) drains gracefully:
 // in-flight cells finish or cancel cleanly, completed cells stay
 // persisted, and interrupted jobs report as interrupted — not failed.
-// The cmd/campaign binary wraps exactly this API (-serve, -submit,
-// -watch, -job, -fetch, -status, -shutdown).
+// chipletqc's serve verb wraps exactly this API, and its submit, job,
+// fetch, status and shutdown verbs are the clients.
 type (
 	// CampaignServer is the daemon: one store, one job queue, one
 	// HTTP API.
