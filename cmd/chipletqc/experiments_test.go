@@ -127,17 +127,23 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestRunCancelledContext pins ctx propagation through the registry
-// path, writing files or rendering to stdout.
+// path when writing artifact files.
 func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, args := range [][]string{
-		{"run", "-quick", "-only", "fig8", "-out", t.TempDir()},
-		{"run", "-only", "fig9", "-out", "-", "-batch", "100", "-mono", "100", "-max", "60"},
-	} {
-		if _, _, err := runArgs(t, ctx, args...); !errors.Is(err, context.Canceled) {
-			t.Errorf("%q: err = %v, want context.Canceled", args, err)
-		}
+	if _, _, err := runArgs(t, ctx, "run", "-quick", "-only", "fig8", "-out", t.TempDir()); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunCancelledToStdout pins ctx propagation through the registry
+// path when rendering to stdout.
+func TestRunCancelledToStdout(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := runArgs(t, ctx, "run", "-only", "fig9", "-out", "-", "-batch", "100", "-mono", "100", "-max", "60")
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -211,9 +217,11 @@ func TestRejectsBadChiplet(t *testing.T) {
 		{"assemble", "-chiplet", "33", "-batch", "10"},
 		{"compile", "-chiplet", "33"},
 	} {
-		if _, _, err := runArgs(t, context.Background(), args...); err == nil {
-			t.Errorf("%q: non-catalog chiplet size should return an error", args)
-		}
+		t.Run(args[0], func(t *testing.T) {
+			if _, _, err := runArgs(t, context.Background(), args...); err == nil {
+				t.Errorf("%q: non-catalog chiplet size should return an error", args)
+			}
+		})
 	}
 }
 
@@ -221,36 +229,55 @@ func TestRejectsBadChiplet(t *testing.T) {
 // cannot be run are usage errors at parse time, named on the error
 // stream, and nothing is reported. Flags a verb never reads (assemble's
 // -mono, -max and trial policy) are unknown there, which is a usage
-// error too.
+// error too. A non-finite trial policy fails before any trial runs.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	for _, args := range [][]string{
-		{"assemble", "-rows", "0"}, {"assemble", "-cols", "-1"}, {"assemble", "-batch", "-3"},
-		{"assemble", "-mono", "-1"}, {"assemble", "-max", "-1"}, {"assemble", "-precision", "NaN"},
-		{"compile", "-rows", "0"}, {"compile", "-cols", "0"}, {"compile", "-batch", "-1"},
-		{"compile", "-mono", "-1"}, {"compile", "-max", "-1"}, {"compile", "-samples", "0"},
-		{"yield", "-batch", "-5"}, {"yield", "-max", "-1"},
-		{"yield", "-sigma", "-1"}, {"yield", "-sigma", "NaN"}, {"yield", "-step", "-0.05"}, {"yield", "-step", "NaN"},
-		{"run", "-batch", "-1"}, {"run", "-samples", "-1"},
-		{"perfcheck", "-perftol", "NaN", "BENCH_yield.json"}, {"perfcheck", "-perftol", "-0.1", "BENCH_yield.json"},
-		{"gc", "-gc-keep", "-5", "-store", dir}, {"gc", "-gc-max-bytes", "-1", "-store", dir},
-		{"perf", "-batch", "-1"},
+	for _, tc := range []struct {
+		verb   string
+		usage  [][]string // flags (and operand) that must be a usage error
+		failed [][]string // flags that must fail with no report
+	}{
+		{verb: "assemble", usage: [][]string{
+			{"-rows", "0"}, {"-cols", "-1"}, {"-batch", "-3"},
+			{"-mono", "-1"}, {"-max", "-1"}, {"-precision", "NaN"},
+		}},
+		{verb: "compile", usage: [][]string{
+			{"-rows", "0"}, {"-cols", "0"}, {"-batch", "-1"},
+			{"-mono", "-1"}, {"-max", "-1"}, {"-samples", "0"},
+		}},
+		{verb: "yield", usage: [][]string{
+			{"-batch", "-5"}, {"-max", "-1"},
+			{"-sigma", "-1"}, {"-sigma", "NaN"}, {"-step", "-0.05"}, {"-step", "NaN"},
+		}, failed: [][]string{{"-batch", "10", "-precision", "NaN"}}},
+		{verb: "run", usage: [][]string{
+			{"-batch", "-1"}, {"-samples", "-1"},
+		}, failed: [][]string{{"-quick", "-only", "eq1", "-out", "-", "-precision", "NaN"}}},
+		{verb: "perfcheck", usage: [][]string{
+			{"-perftol", "NaN", "BENCH_yield.json"}, {"-perftol", "-0.1", "BENCH_yield.json"},
+		}},
+		{verb: "gc", usage: [][]string{
+			{"-gc-keep", "-5", "-store", dir}, {"-gc-max-bytes", "-1", "-store", dir},
+		}},
+		{verb: "perf", usage: [][]string{{"-batch", "-1"}}},
 	} {
-		out, errs, err := runArgs(t, context.Background(), args...)
-		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs, args[1]) {
-			t.Errorf("run(%q) = %v (stderr %q), want a usage error naming %s", args, err, errs, args[1])
-		}
-		if out != "" {
-			t.Errorf("run(%q) wrote a report:\n%s", args, out)
-		}
-	}
-	for _, args := range [][]string{
-		{"run", "-quick", "-only", "eq1", "-out", "-", "-precision", "NaN"},
-		{"yield", "-batch", "10", "-precision", "NaN"},
-	} {
-		if out, _, err := runArgs(t, context.Background(), args...); err == nil || out != "" {
-			t.Errorf("%q: err %v, report %q; want an error and no report", args, err, out)
-		}
+		t.Run(tc.verb, func(t *testing.T) {
+			for _, flags := range tc.usage {
+				args := append([]string{tc.verb}, flags...)
+				out, errs, err := runArgs(t, context.Background(), args...)
+				if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs, flags[0]) {
+					t.Errorf("run(%q) = %v (stderr %q), want a usage error naming %s", args, err, errs, flags[0])
+				}
+				if out != "" {
+					t.Errorf("run(%q) wrote a report:\n%s", args, out)
+				}
+			}
+			for _, flags := range tc.failed {
+				args := append([]string{tc.verb}, flags...)
+				if out, _, err := runArgs(t, context.Background(), args...); err == nil || out != "" {
+					t.Errorf("%q: err %v, report %q; want an error and no report", args, err, out)
+				}
+			}
+		})
 	}
 }
 

@@ -39,18 +39,42 @@ func TestVerbTable(t *testing.T) {
 // stream.
 func TestEveryVerbParsesHelpAndRejectsUnknownFlags(t *testing.T) {
 	for _, v := range verbs {
-		_, errs, err := runArgs(t, context.Background(), v.name, "-h")
-		if err != nil || !strings.Contains(errs, "usage: chipletqc "+v.name) {
-			t.Errorf("%s -h: err %v, usage %q", v.name, err, errs)
-		}
-		if v.name == "yield" || v.name == "compile" {
-			if !strings.Contains(errs, "-workers") {
-				t.Errorf("%s usage should document -workers:\n%s", v.name, errs)
-			}
-		}
-		out, errs, err := runArgs(t, context.Background(), v.name, "-definitely-not-a-flag")
-		if !errors.Is(err, cli.ErrUsage) || out != "" || !strings.Contains(errs, "definitely-not-a-flag") {
-			t.Errorf("%s -definitely-not-a-flag: err %v, stdout %q, stderr %q", v.name, err, out, errs)
+		t.Run(v.name, func(t *testing.T) {
+			t.Run("help", func(t *testing.T) {
+				_, errs, err := runArgs(t, context.Background(), v.name, "-h")
+				if err != nil || !strings.Contains(errs, "usage: chipletqc "+v.name) {
+					t.Errorf("%s -h: err %v, usage %q", v.name, err, errs)
+				}
+				if v.name == "yield" || v.name == "compile" {
+					if !strings.Contains(errs, "-workers") {
+						t.Errorf("%s usage should document -workers:\n%s", v.name, errs)
+					}
+				}
+			})
+			t.Run("unknown_flag", func(t *testing.T) {
+				out, errs, err := runArgs(t, context.Background(), v.name, "-definitely-not-a-flag")
+				if !errors.Is(err, cli.ErrUsage) || out != "" || !strings.Contains(errs, "definitely-not-a-flag") {
+					t.Errorf("%s -definitely-not-a-flag: err %v, stdout %q, stderr %q", v.name, err, out, errs)
+				}
+			})
+		})
+	}
+}
+
+// TestAdminVerbValidation pins the admin UX guards: one admin verb per
+// invocation, and every admin verb needs a store.
+func TestAdminVerbValidation(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	for _, tc := range []struct {
+		args []string
+		want string // substring the usage error must contain
+	}{
+		{[]string{"verify", "-store", dir, "-prune"}, "-prune"},
+		{[]string{"verify", "-store", ""}, "need -store"},
+	} {
+		out, errs, err := runArgs(t, context.Background(), tc.args...)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs, tc.want) || out != "" {
+			t.Errorf("%q: err %v, stdout %q, stderr %q; want a usage error naming %q", tc.args, err, out, errs, tc.want)
 		}
 	}
 }
@@ -77,8 +101,6 @@ func TestModeFlagConflicts(t *testing.T) {
 		{"client verb with admin verb", []string{"submit", "-verify", "-store", dir}, "-verify"},
 		{"serve with client verb", []string{"serve", "-submit"}, "-submit"},
 		{"two client verbs", []string{"submit", "-job", "job-000001"}, "-job"},
-		{"two admin verbs", []string{"verify", "-store", dir, "-prune"}, "-prune"},
-		{"admin verb without a store", []string{"verify", "-store", ""}, "need -store"},
 		{"unknown flag", []string{"campaign", "-definitely-not-a-flag"}, "definitely-not-a-flag"},
 		{"grid-and-axis-flags", []string{"explore", "-generate", "topos=hex-1x2-q6", "-sigmas", "0.004"}, "-sigmas"},
 		{"verb without its operand", []string{"pin", "-store", dir}, "missing LABEL"},
