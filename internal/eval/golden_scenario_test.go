@@ -13,12 +13,12 @@ import (
 // The scenario refactor must be a pure re-plumbing of the default path:
 // running under the registered "paper" scenario has to reproduce the
 // checked-in goldens byte-for-byte, not merely within the tolerance
-// bands of the TestGolden harness. Fig. 4 and Fig. 8 cover every engine
-// the refactor touched (yield Monte Carlo, batch fabrication, assembly,
-// link sampling); their yields are ratios of trial counts plus bond
-// survival products, so byte equality is platform-stable in practice —
-// if a platform ever disagrees here while TestGolden passes, suspect
-// FP contraction, not the scenario plumbing.
+// bands of the TestGolden harness. Fig. 4 and Fig. 8 cover the yield
+// Monte Carlo, batch fabrication, assembly and link sampling; Figs. 9
+// and 10 add the monolithic survivor populations, E_avg sums and
+// compiled log fidelities. Byte equality is platform-stable in
+// practice — if a platform ever disagrees here while TestGolden
+// passes, suspect FP contraction, not the plumbing.
 func TestGoldenPaperScenarioByteIdentical(t *testing.T) {
 	if *update {
 		t.Skip("-update regenerates the files this test compares against")
@@ -58,6 +58,11 @@ func TestGoldenPaperScenarioByteIdentical(t *testing.T) {
 		})
 	}
 	compareGoldenBytes(t, "fig8", got8)
+
+	// Figs. 9 and 10: the wafer-scaled fabricate/assemble path against
+	// the KGD-screened monolithic populations.
+	compareGoldenBytes(t, "fig9", fig9Golden(runFig9(t, cfg)))
+	compareGoldenBytes(t, "fig10", goldenFig10(t, cfg))
 }
 
 func jsonKey(q int) string {

@@ -230,8 +230,8 @@ type goldenFig9Cell struct {
 	Ratio   *float64 `json:"ratio"` // nil when the monolithic counterpart had zero yield
 }
 
-func TestGoldenFig9(t *testing.T) {
-	res := runFig9(t, goldenConfig())
+// fig9Golden reduces Fig. 9 cells to the golden file's records.
+func fig9Golden(res map[string][]Fig9Cell) map[string][]goldenFig9Cell {
 	got := map[string][]goldenFig9Cell{}
 	for _, name := range Fig9Ratios {
 		for _, c := range res[name] {
@@ -241,6 +241,11 @@ func TestGoldenFig9(t *testing.T) {
 			})
 		}
 	}
+	return got
+}
+
+func TestGoldenFig9(t *testing.T) {
+	got := fig9Golden(runFig9(t, goldenConfig()))
 
 	var want map[string][]goldenFig9Cell
 	loadOrUpdateGolden(t, "fig9", got, &want)
@@ -275,8 +280,10 @@ type goldenFig10Point struct {
 	LogRatio *float64 `json:"log_ratio"` // nil for the +-Inf / NaN sentinels
 }
 
-func TestGoldenFig10(t *testing.T) {
-	cfg := goldenConfig()
+// goldenFig10 runs Fig. 10 on the golden systems and reduces the points
+// to the golden file's records.
+func goldenFig10(t *testing.T, cfg Config) []goldenFig10Point {
+	t.Helper()
 	grids := []mcm.Grid{
 		{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}}, // 80q of 20q chiplets
 		{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 4, Width: 8}}, // 160q of 40q chiplets
@@ -292,6 +299,11 @@ func TestGoldenFig10(t *testing.T) {
 			Bench: p.Bench, TwoQ: p.TwoQ, MonoZero: p.MonoZero, LogRatio: fin(p.LogRatio),
 		})
 	}
+	return got
+}
+
+func TestGoldenFig10(t *testing.T) {
+	got := goldenFig10(t, goldenConfig())
 
 	var want []goldenFig10Point
 	loadOrUpdateGolden(t, "fig10", got, &want)
