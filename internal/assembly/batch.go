@@ -3,6 +3,7 @@ package assembly
 import (
 	"context"
 	"math"
+	"math/rand"
 	"sort"
 
 	"chipletqc/internal/collision"
@@ -61,49 +62,74 @@ type BatchConfig struct {
 // and returns ctx.Err().
 func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfig) (*Batch, error) {
 	chip := topo.BuildChip(spec)
-	dev := topo.MonolithicDevice(spec)
-	checker := collision.NewChecker(dev, cfg.Params)
 	edges := chip.G.Edges()
-
-	// Dies fabricate concurrently, each on its own (Seed, index)-derived
-	// RNG stream; nil marks the collision failures KGD testing discards.
-	// Workers reuse one RNG and frequency buffer across trials, so a
-	// discarded die costs zero allocations; only KGD survivors allocate
-	// their retained frequency and error vectors.
-	dies, err := runner.MapLocal(ctx, size, cfg.Workers, runner.NewScratch(chip.N),
-		func(l runner.Scratch, i int) *Chiplet {
-			r := l.RNG.At(cfg.Seed, i)
-			cfg.Fab.SampleChipInto(r, chip, l.Buf)
-			if !checker.Free(l.Buf) {
-				return nil
-			}
-			f := append([]float64(nil), l.Buf...)
-			errs := make([]float64, len(edges))
+	free, err := Survivors(ctx, topo.MonolithicDevice(spec), size, size, cfg,
+		func(i int, r *rand.Rand, f []float64) *Chiplet {
+			c := &Chiplet{ID: i, Freq: append([]float64(nil), f...), EdgeErr: make([]float64, len(edges))}
 			var sum float64
 			for j, e := range edges {
-				errs[j] = cfg.Det.Sample(r, f[e.U]-f[e.V])
-				sum += errs[j]
+				c.EdgeErr[j] = cfg.Det.Sample(r, f[e.U]-f[e.V])
+				sum += c.EdgeErr[j]
 			}
-			avg := 0.0
 			if len(edges) > 0 {
-				avg = sum / float64(len(edges))
+				c.AvgErr = sum / float64(len(edges))
 			}
-			return &Chiplet{ID: i, Freq: f, EdgeErr: errs, AvgErr: avg}
+			return c
 		})
 	if err != nil {
 		return nil, err
 	}
+	sort.SliceStable(free, func(i, j int) bool {
+		return free[i].AvgErr < free[j].AvgErr
+	})
+	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free}, nil
+}
 
-	b := &Batch{Spec: spec, Chip: chip, Size: size}
-	for _, c := range dies {
-		if c != nil {
-			b.Free = append(b.Free, c)
+// Survivors is the one KGD die scan: it fabricates up to n dies of dev
+// under cfg.Fab, die i on its own (cfg.Seed, i) RNG stream, screens each
+// against the Table I criteria, and returns keep(i, r, f) for the first
+// want collision-free dies in die order. keep sees the die's stream
+// just past the frequency draws and the worker's frequency buffer,
+// which it must copy to retain. When want < n the scan runs in
+// worker-sized chunks and stops after the chunk that completes the
+// population. Workers reuse one RNG and buffer, so a discarded die
+// costs zero allocations, and the result is identical at any worker
+// count. Cancelling ctx returns ctx.Err().
+func Survivors[T any](ctx context.Context, dev *topo.Device, n, want int, cfg BatchConfig,
+	keep func(i int, r *rand.Rand, f []float64) T) ([]T, error) {
+	if n <= 0 || want <= 0 {
+		return nil, ctx.Err()
+	}
+	checker := collision.NewChecker(dev, cfg.Params)
+	chunk := n
+	if want < n {
+		chunk = runner.Workers(cfg.Workers, n) * 32
+	}
+	type die struct {
+		v  T
+		ok bool
+	}
+	var out []T
+	for lo := 0; lo < n && len(out) < want; lo += chunk {
+		dies, err := runner.MapLocal(ctx, min(chunk, n-lo), cfg.Workers, runner.NewScratch(dev.N),
+			func(l runner.Scratch, j int) die {
+				r := l.RNG.At(cfg.Seed, lo+j)
+				cfg.Fab.SampleInto(r, dev, l.Buf)
+				if !checker.Free(l.Buf) {
+					return die{}
+				}
+				return die{keep(lo+j, r, l.Buf), true}
+			})
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range dies {
+			if d.ok && len(out) < want {
+				out = append(out, d.v)
+			}
 		}
 	}
-	sort.SliceStable(b.Free, func(i, j int) bool {
-		return b.Free[i].AvgErr < b.Free[j].AvgErr
-	})
-	return b, nil
+	return out, nil
 }
 
 // Bump-bond assembly constants (Section VII-B): the per-bump success

@@ -8,12 +8,13 @@
 // one chiplet design under a fab.Model, applies KGD testing (Table I
 // collision screening via internal/collision), and characterises each
 // surviving die's frequencies and gate errors — yielding a Batch whose
-// collision-free bin feeds assembly. Assemble then stitches batches
-// into k×m multi-chip modules: chiplets are error-sorted so the best
-// dies land first, candidate placements that create cross-chip
-// collisions are reshuffled up to the assembly policy's budget, and
-// every inter-chip link draws its infidelity from the scenario's link
-// model after a bump-bond survival roll.
+// collision-free bin feeds assembly. Its die loop is Survivors, the
+// one KGD scan, which the evaluation also runs on monolithic devices.
+// Assemble then stitches batches into k×m multi-chip modules: chiplets
+// are error-sorted so the best dies land first, candidate placements
+// that create cross-chip collisions are reshuffled up to the assembly
+// policy's budget, and every inter-chip link draws its infidelity from
+// the scenario's link model after a bump-bond survival roll.
 //
 // Both stages are ctx-first and fan out on internal/runner's
 // deterministic worker pool: a trial's draws depend only on (seed,

@@ -107,9 +107,6 @@ func NewChecker(d *topo.Device, p Params) *Checker {
 // Edges returns the number of compiled couplings.
 func (c *Checker) Edges() int { return len(c.edges) }
 
-// Pairs returns the number of compiled control/target-pair triples.
-func (c *Checker) Pairs() int { return len(c.pairs) }
-
 // Free reports whether the frequency assignment f (GHz per qubit) is
 // collision-free, returning at the first violation. NaN or infinite
 // frequencies are never collision-free. This is the Monte Carlo hot
@@ -251,19 +248,4 @@ func appendPairViolations(out []Violation, cp *topo.ControlPair, fi, fj, fk floa
 		out = append(out, Violation{Type: 7, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
 	}
 	return out
-}
-
-// CheckPair exposes the pairwise criteria (types 1-4) for a single
-// control/target frequency pair; used by tests and by the assembly stage
-// when vetting candidate inter-chip links. NaN or infinite frequencies
-// return NonFinite.
-func CheckPair(fControl, fTarget float64, p Params) int {
-	return edgeViolationType(fControl, fTarget, &p)
-}
-
-// CheckTriple exposes the spectator criteria (types 5-7) for a control
-// frequency and two target frequencies. NaN or infinite frequencies
-// return NonFinite.
-func CheckTriple(fControl, fT1, fT2 float64, p Params) int {
-	return pairViolationType(fControl, fT1, fT2, &p)
 }

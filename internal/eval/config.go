@@ -3,9 +3,10 @@ package eval
 import (
 	"context"
 	"math"
+	"math/rand"
 
 	"chipletqc/internal/assembly"
-	"chipletqc/internal/collision"
+	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
 	"chipletqc/internal/runner"
 	"chipletqc/internal/scenario"
@@ -193,49 +194,45 @@ func (c *Config) yieldConfig(batch int, seed int64) yield.Config {
 	return ycfg
 }
 
-// monoPopulation fabricates a monolithic batch and returns the
-// collision-free devices' per-device mean two-qubit infidelity (E_avg)
-// samples, plus the collision-free yield. Trials run concurrently, each
-// on its own (seed, index)-derived RNG stream, and samples are collected
-// in trial order, so the population is identical at any worker count.
-func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch int, seedOffset int64) (eavgs []float64, yld float64, err error) {
-	scn := c.scn()
-	dev := topo.MonolithicDevice(spec)
-	checker := collision.NewChecker(dev, scn.Params)
-	det := c.det()
-	edges := dev.G.Edges()
-	campaign := c.Seed + seedOffset
-	samples, err := runner.MapLocal(ctx, batch, c.Workers,
-		runner.NewScratch(dev.N),
-		func(l runner.Scratch, i int) float64 {
-			r := l.RNG.At(campaign, i)
-			f := l.Buf
-			scn.Fab.SampleInto(r, dev, f)
-			if !checker.Free(f) {
-				return math.NaN() // collision: discarded by KGD testing
-			}
-			// E_avg for this device: mean sampled error over all couplings.
-			var sum float64
-			for _, e := range edges {
-				sum += det.Sample(r, f[e.U]-f[e.V])
-			}
-			if len(edges) == 0 {
-				return 0
-			}
-			return sum / float64(len(edges))
-		})
+// waferScaledMCMs fabricates grid g's chiplets from a batch scaled to
+// the monolithic batch's wafer area — a qm-qubit monolithic die's area
+// hosts qm/qc chiplets, so ChipletBatch monolithic dies correspond to
+// ChipletBatch*chips chiplet dies — and assembles them under the given
+// link model. Modules come best-first, since the bin is sorted.
+func (c *Config) waferScaledMCMs(ctx context.Context, g mcm.Grid, fabOffset, assembleOffset int64, link noise.LinkModel) ([]*assembly.AssembledMCM, error) {
+	b, err := assembly.Fabricate(ctx, g.Spec, c.ChipletBatch*g.Chips(), c.batchConfig(fabOffset))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	for _, s := range samples {
-		if !math.IsNaN(s) {
-			eavgs = append(eavgs, s)
+	acfg := c.assembleConfig(assembleOffset)
+	acfg.Link = link
+	mods, _, err := assembly.Assemble(ctx, b, g, acfg)
+	return mods, err
+}
+
+// eavg returns an assembly.Survivors keep function that draws one error
+// per coupling of dev and returns the die's E_avg, the mean two-qubit
+// infidelity, summed in edge order.
+func eavg(dev *topo.Device, det *noise.DetuningModel) func(int, *rand.Rand, []float64) float64 {
+	edges := dev.G.Edges()
+	return func(_ int, r *rand.Rand, f []float64) float64 {
+		var sum float64
+		for _, e := range edges {
+			sum += det.Sample(r, f[e.U]-f[e.V])
 		}
+		if len(edges) == 0 {
+			return 0
+		}
+		return sum / float64(len(edges))
 	}
-	if batch > 0 {
-		yld = float64(len(eavgs)) / float64(batch)
+}
+
+// assign returns an assembly.Survivors keep function that draws dev's
+// full per-coupling error assignment (noise.Assign).
+func assign(dev *topo.Device, det *noise.DetuningModel, link noise.LinkModel) func(int, *rand.Rand, []float64) noise.Assignment {
+	return func(_ int, r *rand.Rand, f []float64) noise.Assignment {
+		return noise.Assign(r, dev, f, det, link)
 	}
-	return eavgs, yld, nil
 }
 
 // meanOrNaN returns the mean of xs or NaN when empty.

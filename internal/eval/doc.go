@@ -6,8 +6,8 @@
 // # Entry points
 //
 // Each paper workload is a ctx-first function returning structured
-// results — Fig1, Fig3b, Fig4, Fig6, Fig7, Fig8, Fig9, Fig9StateOfArt,
-// Fig10, Table2, Eq1Example — all scaled by one Config. The Experiment
+// results — Fig1, Fig3b, Fig4, Fig6, Fig7, Fig8, Fig9, Fig10, Table2,
+// Eq1Example — all scaled by one Config. The Experiment
 // registry in internal/experiment wraps these same functions into
 // named, artifact-emitting units; new code should usually go through
 // the registry (or internal/campaign for sweeps) and reserve the typed
@@ -25,6 +25,16 @@
 // streaming Progress hook. ConfigFor/QuickConfigFor build paper-scale
 // and smoke-scale configs from a scenario.
 //
+// # Populations
+//
+// Figs. 1, 9 and 10 draw every monolithic device through
+// assembly.Survivors, the same KGD die scan assembly.Fabricate runs on
+// chiplets: sample frequencies, screen against Table I, then draw one
+// error per coupling for each survivor. Figs. 9 and 10 build their MCMs
+// the same way too: a chiplet batch scaled to the monolithic batch's
+// wafer area, fabricated and assembled under an explicit link model
+// (the scenario's for Fig. 9, Config.LinkMean's override for Fig. 10).
+//
 // # Determinism
 //
 // Every Monte Carlo loop runs on internal/runner's (seed, trial
@@ -32,7 +42,7 @@
 // worker count; campaign-level seed offsets are centralised in
 // seeds.go so independent pipelines never share streams. The golden
 // tests (testdata/golden_*.json) pin Figs. 4/8/9/10 byte-for-byte at a
-// fixed seed, and experiment.Fingerprint hashes every
+// fixed seed (internal/experiment pins the fig10corr artifact), and experiment.Fingerprint hashes every
 // determinism-relevant Config field into the cache identity the
 // artifact store keys on.
 package eval

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -295,20 +294,6 @@ func TestFig10SmallScale(t *testing.T) {
 		if !p.Square {
 			t.Errorf("%v should be square", p.Grid)
 		}
-	}
-}
-
-func TestMonoInstancesZeroYield(t *testing.T) {
-	// A 500q monolithic device at laser-tuned precision yields nothing.
-	cfg := QuickConfig(11)
-	cfg.MonoBatch = 50
-	dev := topo.MonolithicDevice(topo.MonolithicSpec(500))
-	got, err := monoInstances(context.Background(), cfg, dev, 3, 1, cfg.det())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("expected zero instances for 500q, got %d", len(got))
 	}
 }
 

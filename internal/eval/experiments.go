@@ -32,11 +32,17 @@ func Fig1(ctx context.Context, cfg Config) ([]Fig1Row, error) {
 	catalog := cfg.catalog()
 	out := make([]Fig1Row, 0, len(catalog))
 	for i, cs := range catalog {
-		eavgs, yld, err := cfg.monoPopulation(ctx, cs.Spec, cfg.ChipletBatch, seedOffFig1Population+int64(i))
+		dev := topo.MonolithicDevice(cs.Spec)
+		bc := cfg.batchConfig(seedOffFig1Population + int64(i))
+		eavgs, err := assembly.Survivors(ctx, dev, cfg.ChipletBatch, cfg.ChipletBatch, bc, eavg(dev, bc.Det))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig1Row{Qubits: cs.Qubits, Yield: yld, EAvg: meanOrNaN(eavgs)})
+		row := Fig1Row{Qubits: cs.Qubits, EAvg: meanOrNaN(eavgs)}
+		if cfg.ChipletBatch > 0 {
+			row.Yield = float64(len(eavgs)) / float64(cfg.ChipletBatch)
+		}
+		out = append(out, row)
 		cfg.progress("fig1", i+1, len(catalog))
 	}
 	return out, nil
@@ -66,16 +72,9 @@ func Fig2(monoDies, chipletsPerMono, defects int) Fig2Result {
 		Defects:     defects,
 		ChipletDies: monoDies * chipletsPerMono,
 	}
-	r.MonoGood = maxInt(0, monoDies-defects)
-	r.ChipletGood = maxInt(0, r.ChipletDies-defects)
+	r.MonoGood = max(0, monoDies-defects)
+	r.ChipletGood = max(0, r.ChipletDies-defects)
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- Fig. 3b: CX infidelity vs processor size ------------------------------

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"chipletqc/internal/assembly"
-	"chipletqc/internal/collision"
 	"chipletqc/internal/compiler"
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
@@ -46,61 +45,27 @@ type Fig9Cell struct {
 // KGD post-selection ("speed binning") offset the higher link error:
 // when monolithic yield is tiny, the matching MCM population is an elite
 // slice of a much larger supply.
+//
+// Each ratio restarts the grid's link stream, so a ratio's cells do not
+// depend on the ratios swept before it (fig10corr reads the
+// state-of-art cells alone).
 func Fig9(ctx context.Context, cfg Config) (map[string][]Fig9Cell, error) {
-	return fig9Ratios(ctx, cfg, Fig9Ratios)
-}
-
-// Fig9StateOfArt computes only the state-of-art cells — the subset the
-// Fig. 10(b) correlation consumes — at a quarter of the full link sweep's
-// resampling cost (the fabricate/assemble/mono pipeline dominates either
-// way).
-func Fig9StateOfArt(ctx context.Context, cfg Config) ([]Fig9Cell, error) {
-	res, err := fig9Ratios(ctx, cfg, Fig9Ratios[:1])
-	if err != nil {
-		return nil, err
-	}
-	return res[Fig9Ratios[0]], nil
-}
-
-// fig9Ratios runs the Fig. 9 pipeline for a subset of the ratio sweep.
-// Each ratio resamples links from its own freshly seeded stream, so a
-// subset's cells are bit-identical to the same cells of the full sweep.
-func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]Fig9Cell, error) {
-	cfg.det() // resolve the shared detuning model before fanning out
 	grids := mcm.SquareGridsFrom(cfg.catalog(), cfg.MaxQubits)
 	links := noise.LinkRatioModels(noise.ChipMeanInfidelity)
 	links[Fig9Ratios[0]] = cfg.scn().Link // state of art = the scenario's own links
 
-	// Each grid's fabricate-assemble-compare pipeline is independent and
-	// independently seeded, so grids fan out; the worker budget splits
-	// between the grid fan-out and the nested fabrication/Monte Carlo so
-	// total concurrency stays near cfg.Workers. The link sweep within
-	// one grid stays serial because ResampleLinks mutates the selected
-	// modules in ratio order.
-	outer, inner := runner.Split(cfg.Workers, len(grids))
-	icfg := cfg
-	icfg.Workers = inner
-	var gridsDone atomic.Int64
-	perGrid, err := runner.Map(ctx, len(grids), outer, func(gi int) []Fig9Cell {
-		g := grids[gi]
-		cfg := icfg
-		// Wafer-area scaling: a qm-qubit monolithic die's area hosts
-		// qm/qc chiplets, so B monolithic dies correspond to B*chips
-		// chiplet dies for an MCM of `chips` chiplets.
-		scaled := cfg.ChipletBatch * g.Chips()
-		b, err := assembly.Fabricate(ctx, g.Spec, scaled, cfg.batchConfig(seedOffFig9Fabricate+int64(gi)))
+	// The link sweep within one grid stays serial because ResampleLinks
+	// mutates the selected modules in ratio order.
+	perGrid, err := perSystem(ctx, cfg, "fig9", grids, func(icfg Config, gi int, g mcm.Grid) ([]Fig9Cell, error) {
+		mods, err := icfg.waferScaledMCMs(ctx, g, seedOffFig9Fabricate+int64(gi), seedOffFig9Assemble+int64(gi), icfg.scn().Link)
 		if err != nil {
-			return nil // cancellation: surfaced by the outer Map
+			return nil, err
 		}
-		acfg := cfg.assembleConfig(seedOffFig9Assemble + int64(gi))
-		mods, _, err := assembly.Assemble(ctx, b, g, acfg)
+		monoDev := topo.MonolithicDevice(g.MonolithicCounterpart())
+		bc := icfg.batchConfig(seedOffFig9Mono + int64(gi))
+		monoEavgs, err := assembly.Survivors(ctx, monoDev, icfg.MonoBatch, icfg.MonoBatch, bc, eavg(monoDev, bc.Det))
 		if err != nil {
-			return nil
-		}
-
-		monoEavgs, _, err := cfg.monoPopulation(ctx, g.MonolithicCounterpart(), cfg.MonoBatch, seedOffFig9Mono+int64(gi))
-		if err != nil {
-			return nil
+			return nil, err
 		}
 		monoMean := meanOrNaN(monoEavgs)
 
@@ -112,31 +77,25 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 			sel = sel[:k]
 		}
 
-		cells := make([]Fig9Cell, 0, len(ratios))
-		for _, name := range ratios {
-			link := links[name]
-			r := runner.Rand(cfg.Seed+seedOffFig9Links, gi)
+		cells := make([]Fig9Cell, 0, len(Fig9Ratios))
+		for _, name := range Fig9Ratios {
+			r := runner.Rand(icfg.Seed+seedOffFig9Links, gi)
 			var eavgs []float64
 			for _, m := range sel {
-				m.ResampleLinks(r, link)
+				m.ResampleLinks(r, links[name])
 				eavgs = append(eavgs, m.EAvg())
 			}
-			cell := Fig9Cell{
+			mcmMean := meanOrNaN(eavgs)
+			cells = append(cells, Fig9Cell{
 				Grid:          g,
 				Qubits:        g.Qubits(),
-				EAvgMCM:       meanOrNaN(eavgs),
+				EAvgMCM:       mcmMean,
 				EAvgMono:      monoMean,
+				Ratio:         mcmMean / monoMean, // NaN when either side is empty
 				MonoAvailable: len(monoEavgs) > 0,
-			}
-			if cell.MonoAvailable && !math.IsNaN(cell.EAvgMCM) {
-				cell.Ratio = cell.EAvgMCM / cell.EAvgMono
-			} else {
-				cell.Ratio = math.NaN()
-			}
-			cells = append(cells, cell)
+			})
 		}
-		cfg.progress("fig9", int(gridsDone.Add(1)), len(grids))
-		return cells
+		return cells, nil
 	})
 	if err != nil {
 		return nil, err
@@ -144,11 +103,34 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 
 	out := map[string][]Fig9Cell{}
 	for _, cells := range perGrid {
-		for i, name := range ratios {
+		for i, name := range Fig9Ratios {
 			out[name] = append(out[name], cells[i])
 		}
 	}
 	return out, nil
+}
+
+// perSystem fans fn out over the MCM systems of Figs. 9 and 10. Each
+// system's fabricate-assemble-compare pipeline is independent and
+// independently seeded; the worker budget splits between the system
+// fan-out and the nested fabrication/Monte Carlo, whose share arrives
+// as fn's config, so total concurrency stays near cfg.Workers. A failing
+// system cancels the remaining work and the lowest-indexed error is
+// returned; each success reports progress under label.
+func perSystem[T any](ctx context.Context, cfg Config, label string, grids []mcm.Grid,
+	fn func(icfg Config, gi int, g mcm.Grid) (T, error)) ([]T, error) {
+	cfg.det() // resolve the shared detuning model before fanning out
+	outer, inner := runner.Split(cfg.Workers, len(grids))
+	icfg := cfg
+	icfg.Workers = inner
+	var done atomic.Int64
+	return runner.MapErr(ctx, len(grids), outer, func(gi int) (T, error) {
+		v, err := fn(icfg, gi, grids[gi])
+		if err == nil {
+			cfg.progress(label, int(done.Add(1)), len(grids))
+		}
+		return v, err
+	})
 }
 
 // Fig10Point is one benchmark evaluated on one MCM system against its
@@ -180,20 +162,8 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 	if samples < 1 {
 		samples = 3
 	}
-	det := cfg.det() // resolved before fanning out
-	// The worker budget splits between the system fan-out and the nested
-	// fabrication/Monte Carlo inside each system.
-	outer, inner := runner.Split(cfg.Workers, len(grids))
-	icfg := cfg
-	icfg.Workers = inner
-	var gridsDone atomic.Int64
-	perGrid, err := runner.MapErr(ctx, len(grids), outer, func(gi int) ([]Fig10Point, error) {
-		g := grids[gi]
-		pts, err := fig10System(ctx, icfg, g, gi, samples, det)
-		if err == nil {
-			cfg.progress("fig10", int(gridsDone.Add(1)), len(grids))
-		}
-		return pts, err
+	perGrid, err := perSystem(ctx, cfg, "fig10", grids, func(icfg Config, gi int, g mcm.Grid) ([]Fig10Point, error) {
+		return fig10System(ctx, icfg, g, gi, samples)
 	})
 	if err != nil {
 		return nil, err
@@ -207,19 +177,11 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 
 // fig10System evaluates the benchmark suite on one MCM system against
 // its monolithic counterpart.
-func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, det *noise.DetuningModel) ([]Fig10Point, error) {
+func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int) ([]Fig10Point, error) {
 	var out []Fig10Point
-	// MCM side: assemble instances from a wafer-area-scaled batch
-	// and keep the best `samples` (equal-count selection, matching
-	// the Fig. 9 comparison semantics).
-	scaled := cfg.ChipletBatch * g.Chips()
-	b, err := assembly.Fabricate(ctx, g.Spec, scaled, cfg.batchConfig(seedOffFig10Fabricate+int64(gi)))
-	if err != nil {
-		return nil, err
-	}
-	acfg := cfg.assembleConfig(seedOffFig10Assemble + int64(gi))
-	acfg.Link = cfg.linkModel()
-	mods, _, err := assembly.Assemble(ctx, b, g, acfg)
+	// MCM side: the best `samples` wafer-scaled modules (equal-count
+	// selection, matching the Fig. 9 comparison semantics).
+	mods, err := cfg.waferScaledMCMs(ctx, g, seedOffFig10Fabricate+int64(gi), seedOffFig10Assemble+int64(gi), cfg.linkModel())
 	if err != nil {
 		return nil, err
 	}
@@ -229,9 +191,11 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 	mcmDev := mcm.MustBuild(g)
 	chip := topo.BuildChip(g.Spec)
 
-	// Monolithic side: collision-free instances with error maps.
+	// Monolithic side: the first `samples` collision-free instances,
+	// with their full per-coupling error maps.
 	monoDev := topo.MonolithicDevice(g.MonolithicCounterpart())
-	monoAssignments, err := monoInstances(ctx, cfg, monoDev, samples, seedOffFig10Mono+int64(gi), det)
+	bc := cfg.batchConfig(seedOffFig10Mono + int64(gi))
+	monoAssignments, err := assembly.Survivors(ctx, monoDev, cfg.MonoBatch, samples, bc, assign(monoDev, bc.Det, cfg.scn().Link))
 	if err != nil {
 		return nil, err
 	}
@@ -284,56 +248,6 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 			}
 		}
 		out = append(out, p)
-	}
-	return out, nil
-}
-
-// monoInstances fabricates monolithic devices until `want` collision-free
-// instances are found (or the batch budget is exhausted) and returns
-// their full per-coupling error assignments.
-//
-// Trials run in worker-sized chunks, each on its own (seed, index)-
-// derived RNG stream; selection keeps the first `want` collision-free
-// trial indices, so the instances are identical at any worker count
-// while the scan still stops early once enough survivors are found.
-func monoInstances(ctx context.Context, cfg Config, dev *topo.Device, want int, seedOffset int64, det *noise.DetuningModel) ([]noise.Assignment, error) {
-	if want <= 0 || cfg.MonoBatch <= 0 {
-		return nil, ctx.Err()
-	}
-	scn := cfg.scn()
-	checker := collision.NewChecker(dev, scn.Params)
-	link := scn.Link
-	campaign := cfg.Seed + seedOffset
-	chunk := runner.Workers(cfg.Workers, cfg.MonoBatch) * 32
-
-	var out []noise.Assignment
-	for lo := 0; lo < cfg.MonoBatch && len(out) < want; lo += chunk {
-		hi := lo + chunk
-		if hi > cfg.MonoBatch {
-			hi = cfg.MonoBatch
-		}
-		found, err := runner.MapLocal(ctx, hi-lo, cfg.Workers,
-			runner.NewScratch(dev.N),
-			func(l runner.Scratch, j int) *noise.Assignment {
-				r := l.RNG.At(campaign, lo+j)
-				scn.Fab.SampleInto(r, dev, l.Buf)
-				if !checker.Free(l.Buf) {
-					return nil
-				}
-				a := noise.Assign(r, dev, l.Buf, det, link)
-				return &a
-			})
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range found {
-			if a != nil {
-				out = append(out, *a)
-				if len(out) == want {
-					break
-				}
-			}
-		}
 	}
 	return out, nil
 }

@@ -36,7 +36,7 @@ func TestFig8WorkerCountInvariance(t *testing.T) {
 }
 
 // TestFig9WorkerCountInvariance covers the grid-level fan-out plus the
-// parallel monoPopulation underneath it. NaN-valued cells (zero
+// parallel assembly.Survivors scan underneath it. NaN-valued cells (zero
 // monolithic yield) compare by position rather than value.
 func TestFig9WorkerCountInvariance(t *testing.T) {
 	serial := runFig9(t, tinyConfig(12, 1))
@@ -63,7 +63,7 @@ func TestFig9WorkerCountInvariance(t *testing.T) {
 }
 
 // TestFig10WorkerCountInvariance covers the MapErr fan-out and the
-// chunked monoInstances scan.
+// chunked assembly.Survivors scan.
 func TestFig10WorkerCountInvariance(t *testing.T) {
 	grids := mcm.EnumerateGrids(80)
 	serial, err := runFig10(t, tinyConfig(13, 1), grids, 2)

@@ -76,10 +76,3 @@ func Suite() []Spec {
 		},
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -167,10 +167,10 @@ func TestBinnedSeries(t *testing.T) {
 	b.Add(0.05, 1)
 	b.Add(0.07, 2)
 	b.Add(0.45, 3)
-	if got := b.Bin(0.05); len(got) != 2 {
+	if got := b.Bins[b.binIndex(0.05)]; len(got) != 2 {
 		t.Errorf("Bin(0.05) = %v, want 2 values", got)
 	}
-	if got := b.Bin(0.49); len(got) != 1 || got[0] != 3 {
+	if got := b.Bins[b.binIndex(0.49)]; len(got) != 1 || got[0] != 3 {
 		t.Errorf("Bin(0.49) = %v, want [3]", got)
 	}
 	if got := b.All(); len(got) != 3 {
@@ -178,10 +178,10 @@ func TestBinnedSeries(t *testing.T) {
 	}
 	b.Add(-5, 4) // clamps to bin 0
 	b.Add(99, 5) // clamps to bin 4
-	if got := b.Bin(0); len(got) != 3 || got[2] != 4 {
+	if got := b.Bins[b.binIndex(0)]; len(got) != 3 || got[2] != 4 {
 		t.Errorf("Bin(0) after a low outlier = %v, want [1 2 4]", got)
 	}
-	if got := b.Bin(0.4); len(got) != 2 || got[1] != 5 {
+	if got := b.Bins[b.binIndex(0.4)]; len(got) != 2 || got[1] != 5 {
 		t.Errorf("Bin(0.4) after a high outlier = %v, want [3 5]", got)
 	}
 }

@@ -43,32 +43,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// StdErr returns the standard error of the mean (0 when fewer than two
-// observations are present).
-func (w *Welford) StdErr() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
-// Merge folds another accumulator into w (Chan et al.'s parallel
-// update), so per-worker accumulators can be combined exactly.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // Proportion is a streaming success counter for binary Monte Carlo
 // outcomes (collision-free yes/no), with Wilson score interval access.
 // The zero value is ready for use.
@@ -103,18 +77,6 @@ func (p Proportion) CI(z float64) (lo, hi float64) {
 // is the natural reading of an empty counter.
 func (p Proportion) HalfWidth(z float64) float64 {
 	return WilsonHalfWidth(p.Successes, p.Trials, z)
-}
-
-// RelHalfWidth returns the Wilson interval half-width relative to the
-// point estimate; +Inf when the estimate is 0 (no successes yet, or no
-// trials), so a relative-precision target can never be satisfied by a
-// run that has not observed the event. This is the stopping quantity
-// for near-zero yields, where an absolute half-width target stops far
-// too early: the absolute Wilson half-width at zero successes shrinks
-// like z²/n toward any fixed target while the relative width stays
-// infinite until the event has actually been seen.
-func (p Proportion) RelHalfWidth(z float64) float64 {
-	return WilsonRelHalfWidth(p.Successes, p.Trials, z)
 }
 
 // Wilson returns the Wilson score interval for a binomial proportion
@@ -156,7 +118,13 @@ func WilsonHalfWidth(successes, trials int, z float64) float64 {
 }
 
 // WilsonRelHalfWidth returns the Wilson half-width divided by the point
-// estimate successes/trials; +Inf when successes or trials is zero.
+// estimate successes/trials; +Inf when successes or trials is zero, so
+// a relative-precision target can never be satisfied by a run that has
+// not observed the event. This is the stopping quantity for near-zero
+// yields, where an absolute half-width target stops far too early: the
+// absolute Wilson half-width at zero successes shrinks like z²/n toward
+// any fixed target while the relative width stays infinite until the
+// event has actually been seen.
 func WilsonRelHalfWidth(successes, trials int, z float64) float64 {
 	if trials <= 0 || successes <= 0 {
 		return math.Inf(1)

@@ -41,35 +41,12 @@ func TestWelfordMatchesBatchStatistics(t *testing.T) {
 
 func TestWelfordEdgeValues(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdErr() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 {
 		t.Error("empty accumulator should report zeros")
 	}
 	w.Add(5)
-	if w.Mean() != 5 || w.Variance() != 0 || w.StdErr() != 0 {
+	if w.Mean() != 5 || w.Variance() != 0 {
 		t.Errorf("single sample: mean %v var %v, want 5, 0", w.Mean(), w.Variance())
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	xs := []float64{0.5, -2, 3, 3, 8, -1.25, 4}
-	for split := 0; split <= len(xs); split++ {
-		var a, b Welford
-		for _, x := range xs[:split] {
-			a.Add(x)
-		}
-		for _, x := range xs[split:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != int64(len(xs)) {
-			t.Fatalf("split %d: N = %d", split, a.N())
-		}
-		if math.Abs(a.Mean()-Mean(xs)) > 1e-12 {
-			t.Errorf("split %d: merged mean %v, want %v", split, a.Mean(), Mean(xs))
-		}
-		if math.Abs(a.Variance()-Variance(xs)) > 1e-12 {
-			t.Errorf("split %d: merged variance %v, want %v", split, a.Variance(), Variance(xs))
-		}
 	}
 }
 

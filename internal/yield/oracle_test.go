@@ -35,7 +35,7 @@ func oracleSimulate(d *topo.Device, cfg Config) Result {
 			p.Add(checker.Free(buf))
 		}
 		if adaptive && ((cfg.Precision > 0 && p.HalfWidth(stats.Z95) <= cfg.Precision) ||
-			(cfg.RelPrecision > 0 && p.RelHalfWidth(stats.Z95) <= cfg.RelPrecision)) {
+			(cfg.RelPrecision > 0 && stats.WilsonRelHalfWidth(p.Successes, p.Trials, stats.Z95) <= cfg.RelPrecision)) {
 			break
 		}
 	}

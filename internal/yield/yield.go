@@ -192,7 +192,7 @@ func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
 		}
 	}
 	// The relative target divides the half-width by the point estimate,
-	// the form stats.Proportion.RelHalfWidth rounds with, so plain
+	// the form stats.WilsonRelHalfWidth rounds with, so plain
 	// counting takes exactly the stop decisions it always took. A zero
 	// estimate never satisfies it.
 	stop := func(done int) bool {
