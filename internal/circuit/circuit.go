@@ -66,6 +66,12 @@ func (g Gate) String() string {
 type Circuit struct {
 	NumQubits int
 	Gates     []Gate
+
+	// ops is the free tail of the current operand chunk: length 0,
+	// capacity what is left. Gates added through the package take their
+	// Qubits from it, so a circuit pays one allocation per chunk rather
+	// than one per gate.
+	ops []int
 }
 
 // New creates an empty circuit over n qubits. It panics for n < 1.
@@ -96,11 +102,31 @@ func (c *Circuit) Append(name string, param float64, qubits ...int) {
 			}
 		}
 	}
-	g := Gate{Name: name, Qubits: append([]int(nil), qubits...)}
+	g := Gate{Name: name, Qubits: c.operands(qubits)}
 	if a.hasParam {
 		g.Param = param
 	}
 	c.Gates = append(c.Gates, g)
+}
+
+// minOpsChunk is the smallest operand chunk a circuit allocates.
+const minOpsChunk = 16
+
+// operands copies qs into the circuit's operand arena. The returned
+// slice is capacity-capped, so appending to one gate's Qubits
+// reallocates instead of overwriting its neighbour's operands. A new
+// chunk holds two operands for every gate the Gates slice still has
+// room for, or as many as there are gates so far, whichever is more:
+// a pre-sized Gates slice gets its operands in about one chunk and a
+// growing one in geometrically growing chunks.
+func (c *Circuit) operands(qs []int) []int {
+	n := len(qs)
+	if cap(c.ops) < n {
+		c.ops = make([]int, 0, max(n, minOpsChunk, 2*(cap(c.Gates)-len(c.Gates)), len(c.Gates)))
+	}
+	ops := append(c.ops, qs...)
+	c.ops = ops[n:]
+	return ops[:n:n]
 }
 
 // Convenience constructors for the gate set.

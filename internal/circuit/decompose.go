@@ -6,6 +6,8 @@ package circuit
 // already in the basis pass through unchanged.
 func Decompose(c *Circuit) *Circuit {
 	out := New(c.NumQubits)
+	// Lowering only adds gates, so the input's gate count is a lower bound.
+	out.Gates = make([]Gate, 0, len(c.Gates))
 	for _, g := range c.Gates {
 		switch g.Name {
 		case "swap":
@@ -20,7 +22,7 @@ func Decompose(c *Circuit) *Circuit {
 		default:
 			out.Gates = append(out.Gates, Gate{
 				Name:   g.Name,
-				Qubits: append([]int(nil), g.Qubits...),
+				Qubits: out.operands(g.Qubits),
 				Param:  g.Param,
 			})
 		}

@@ -4,12 +4,21 @@
 // two-qubit gate acts on a physically coupled pair. Inserted SWAPs are
 // lowered to three CX gates, so compiled gate counts are directly
 // comparable to the paper's Table II.
+//
+// A Result is read-only once Compile returns it. Besides the compiled
+// circuit it carries a pair index: the distinct couplings the compiled
+// two-qubit gates act on and, per gate, which one. eval.LogFidelity
+// reads that index to look each coupling's error up once rather than
+// once per gate, so editing Result.Compiled after Compile leaves the
+// index stale.
 package compiler
 
 import (
 	"fmt"
+	"slices"
 
 	"chipletqc/internal/circuit"
+	"chipletqc/internal/graph"
 	"chipletqc/internal/topo"
 )
 
@@ -27,6 +36,22 @@ type Result struct {
 	SwapsInserted int
 	// Counts caches the compiled circuit's Table II metrics.
 	Counts circuit.Counts
+
+	// pairs lists the couplings the compiled two-qubit gates act on, in
+	// order of first use; gatePair holds each compiled two-qubit gate's
+	// index into pairs, in gate order. Both are nil unless Compile or
+	// CompileWithOptions built the Result.
+	pairs    []graph.Edge
+	gatePair []int32
+}
+
+// PairIndex returns the Result's pair index: the distinct couplings the
+// compiled two-qubit gates act on, in order of first use, and for every
+// compiled two-qubit gate in gate order the index of its coupling in
+// pairs. Both are nil for a Result that Compile or CompileWithOptions
+// did not build. The slices belong to the Result and must not be modified.
+func (r *Result) PairIndex() (pairs []graph.Edge, gatePair []int32) {
+	return r.pairs, r.gatePair
 }
 
 // DisconnectedError reports a disconnected device whose component around
@@ -73,15 +98,14 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 		owner[p] = l
 	}
 
-	out := circuit.New(dev.N)
-	// Routing only adds gates, so the lowered gate count is a lower bound.
-	out.Gates = make([]circuit.Gate, 0, len(native.Gates))
-	swaps := 0
+	// Routing records compact steps; the circuit is emitted once at its
+	// exact length afterwards. Routing only adds gates, so the lowered
+	// gate count is a lower bound.
+	steps := make([]step, 0, len(native.Gates))
+	swaps, twoQ := 0, 0
 
 	emitSwap := func(u, v int) {
-		out.CX(u, v)
-		out.CX(v, u)
-		out.CX(u, v)
+		steps = append(steps, routingCX(u, v), routingCX(v, u), routingCX(u, v))
 		lu, lv := owner[u], owner[v]
 		owner[u], owner[v] = lv, lu
 		if lu >= 0 {
@@ -91,6 +115,7 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 			pos[lv] = u
 		}
 		swaps++
+		twoQ += 3
 	}
 
 	// nextHop is the first step from physical qubit u toward v, or -1
@@ -107,10 +132,10 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 		return p[1]
 	}
 
-	for _, g := range native.Gates {
+	for i, g := range native.Gates {
 		switch {
 		case g.IsOneQubit():
-			out.Append(g.Name, g.Param, pos[g.Qubits[0]])
+			steps = append(steps, step{src: int32(i), u: int32(pos[g.Qubits[0]])})
 		case g.IsTwoQubit():
 			a, b := g.Qubits[0], g.Qubits[1]
 			// Route a toward b along the chosen path until adjacent.
@@ -122,20 +147,79 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 				}
 				emitSwap(pos[a], next)
 			}
-			out.Append(g.Name, g.Param, pos[a], pos[b])
+			steps = append(steps, step{src: int32(i), u: int32(pos[a]), v: int32(pos[b])})
+			twoQ++
 		default:
 			return nil, fmt.Errorf("compiler: unexpected %d-qubit gate %q after lowering",
 				len(g.Qubits), g.Name)
 		}
 	}
 
+	out, pairs, gatePair := emit(native, steps, dev, twoQ)
 	return &Result{
 		Compiled:      out,
 		InitialLayout: layout,
 		FinalLayout:   pos,
 		SwapsInserted: swaps,
 		Counts:        out.Counts(),
+		pairs:         pairs,
+		gatePair:      gatePair,
 	}, nil
+}
+
+// step is one gate of the compiled circuit before emission: src indexes
+// the lowered circuit's gates, or is -1 for a routing CX, and u, v are
+// its physical operands (v is unused by a one-qubit gate).
+type step struct {
+	src, u, v int32
+}
+
+// routingCX is the step of one CX of an inserted SWAP.
+func routingCX(u, v int) step {
+	return step{src: -1, u: int32(u), v: int32(v)}
+}
+
+// emit builds the compiled circuit from the routed steps, every gate
+// through circuit.Append so its checks still run, with Gates allocated
+// once at the exact length. Along the way it builds the pair index for
+// the twoQ two-qubit gates. A coupling's id lives in a table keyed by
+// its lower endpoint and the higher endpoint's slot in the lower's
+// adjacency list, so no Edge is hashed.
+func emit(native *circuit.Circuit, steps []step, dev *topo.Device, twoQ int) (*circuit.Circuit, []graph.Edge, []int32) {
+	out := circuit.New(dev.N)
+	out.Gates = make([]circuit.Gate, 0, len(steps))
+
+	// ids[base[u]+j] is the pair id of (u, Neighbors(u)[j]), -1 until used.
+	base := make([]int32, dev.N+1)
+	for u := range dev.N {
+		base[u+1] = base[u] + int32(dev.G.Degree(u))
+	}
+	ids := make([]int32, base[dev.N])
+	for i := range ids {
+		ids[i] = -1
+	}
+	var pairs []graph.Edge
+	gatePair := make([]int32, 0, twoQ)
+
+	for _, s := range steps {
+		u, v := int(s.u), int(s.v)
+		if s.src < 0 {
+			out.CX(u, v)
+		} else if g := native.Gates[s.src]; g.IsOneQubit() {
+			out.Append(g.Name, g.Param, u)
+			continue
+		} else {
+			out.Append(g.Name, g.Param, u, v)
+		}
+		lo, hi := min(u, v), max(u, v)
+		slot := base[lo] + int32(slices.Index(dev.G.Neighbors(lo), hi))
+		if ids[slot] < 0 {
+			ids[slot] = int32(len(pairs))
+			pairs = append(pairs, graph.Edge{U: lo, V: hi})
+		}
+		gatePair = append(gatePair, ids[slot])
+	}
+	return out, pairs, gatePair
 }
 
 // initialLayout picks a dense, central region of the device: BFS from the

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -83,12 +84,14 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v] = append(g.adj[v], u)
 }
 
-// HasEdge reports whether (u, v) is an edge.
+// HasEdge reports whether (u, v) is an edge. It scans u's adjacency
+// list: coupling-map degrees are a few at most, so the scan beats
+// hashing an Edge.
 func (g *Graph) HasEdge(u, v int) bool {
-	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
+	if u < 0 || u >= g.n {
 		return false
 	}
-	return g.edges[NewEdge(u, v)]
+	return slices.Contains(g.adj[u], v)
 }
 
 // Neighbors returns the adjacency list of v. The returned slice is owned
