@@ -11,6 +11,7 @@ import (
 
 	"chipletqc/internal/cli"
 	"chipletqc/internal/experiment"
+	"chipletqc/internal/scenario"
 )
 
 // runArgs invokes the CLI core and returns its streams.
@@ -403,7 +404,21 @@ func TestPerfWritesRecord(t *testing.T) {
 // impossible committed baseline: the generous one passes, the
 // impossible one (1 ns/op) must be reported as a regression beyond the
 // tolerance.
+// TestPerfCheck tests perfcheck's verdict against fixed records, so it
+// measures nothing; TestPerfWritesRecord is the real measurement.
 func TestPerfCheck(t *testing.T) {
+	defer func(old func(context.Context, scenario.Scenario, int, int, int64) ([]perfRecord, error)) {
+		runPerf = old
+	}(runPerf)
+	runPerf = func(_ context.Context, _ scenario.Scenario, batch, _ int, _ int64) ([]perfRecord, error) {
+		if batch != 100 {
+			t.Errorf("measured at -batch %d, want 100", batch)
+		}
+		return []perfRecord{
+			{Name: "yield_simulate_fixed", NsPerOp: 2e6},
+			{Name: "yield_simulate_importance", NsPerOp: 3e6},
+		}, nil
+	}
 	dir := t.TempDir()
 	generous := filepath.Join(dir, "generous.json")
 	impossible := filepath.Join(dir, "impossible.json")

@@ -32,9 +32,13 @@ func perfSetup(fs *flag.FlagSet) func(ctx context.Context) ([]perfRecord, error)
 		if err != nil {
 			return nil, err
 		}
-		return measurePerf(ctx, scn, *batch, trial.Workers, trial.Seed)
+		return runPerf(ctx, scn, *batch, trial.Workers, trial.Seed)
 	}
 }
+
+// runPerf is the measurement behind perf and perfcheck; the perfcheck
+// tests replace it with fixed records to test the verdict alone.
+var runPerf = measurePerf
 
 // perfFlags declares the perf verb: measure the yield hot path and
 // write the records as JSON.

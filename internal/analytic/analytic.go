@@ -103,9 +103,8 @@ func DeviceYield(d *topo.Device, plan topo.FreqPlan, sigma float64, p collision.
 }
 
 // YieldForClasses estimates yield for an arbitrary candidate class
-// assignment on the device's coupling graph. Control direction follows
-// the class order (higher class controls; ties break toward the lower
-// qubit id, matching topo.Device.ControlOf).
+// assignment on the device's coupling graph, with control direction
+// taken from the candidate classes (topo.ControlByClass).
 func YieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan, sigma float64, p collision.Params) float64 {
 	logY := LogYieldForClasses(d, classes, plan, sigma, p)
 	if math.IsInf(logY, -1) {
@@ -119,21 +118,8 @@ func YieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan, s
 func LogYieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan, sigma float64, p collision.Params) float64 {
 	var logY float64
 	target := func(q int) float64 { return plan.Target(classes[q]) }
-	controlOf := func(u, v int) int {
-		cu, cv := classes[u], classes[v]
-		switch {
-		case cu > cv:
-			return u
-		case cv > cu:
-			return v
-		case u < v:
-			return u
-		default:
-			return v
-		}
-	}
 	for _, e := range d.G.Edges() {
-		ctrl := controlOf(e.U, e.V)
+		ctrl := topo.ControlByClass(classes, e.U, e.V)
 		tgt := e.U
 		if ctrl == e.U {
 			tgt = e.V
@@ -144,23 +130,12 @@ func LogYieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan
 		}
 		logY += math.Log(f)
 	}
-	// Control pairs under the candidate classes.
-	for q := 0; q < d.N; q++ {
-		var targets []int
-		for _, nb := range d.G.Neighbors(q) {
-			if controlOf(q, nb) == q {
-				targets = append(targets, nb)
-			}
+	for _, cp := range topo.ControlPairsByClass(d, classes) {
+		f := PairFreeProb(target(cp.Control), target(cp.T1), target(cp.T2), sigma, p)
+		if f <= 0 {
+			return math.Inf(-1)
 		}
-		for a := 0; a < len(targets); a++ {
-			for b := a + 1; b < len(targets); b++ {
-				f := PairFreeProb(target(q), target(targets[a]), target(targets[b]), sigma, p)
-				if f <= 0 {
-					return math.Inf(-1)
-				}
-				logY += math.Log(f)
-			}
-		}
+		logY += math.Log(f)
 	}
 	return logY
 }

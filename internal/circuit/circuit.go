@@ -170,50 +170,32 @@ func (c *Circuit) TwoQubitGates() int {
 }
 
 // Depth returns the dependency depth counting every gate as one layer.
-func (c *Circuit) Depth() int {
-	depth := make([]int, c.NumQubits)
-	max := 0
-	for _, g := range c.Gates {
-		d := 0
-		for _, q := range g.Qubits {
-			if depth[q] > d {
-				d = depth[q]
-			}
-		}
-		d++
-		for _, q := range g.Qubits {
-			depth[q] = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
+func (c *Circuit) Depth() int { return c.longestChain(func(Gate) bool { return true }) }
 
 // TwoQubitCriticalPath returns the length of the longest dependency chain
 // counting only two-qubit gates — the "2q critical" column of Table II.
-func (c *Circuit) TwoQubitCriticalPath() int {
+func (c *Circuit) TwoQubitCriticalPath() int { return c.longestChain(Gate.IsTwoQubit) }
+
+// longestChain returns the length of the longest dependency chain
+// through shared qubits, where a gate adds one layer when counts holds
+// for it and none otherwise.
+func (c *Circuit) longestChain(counts func(Gate) bool) int {
 	depth := make([]int, c.NumQubits)
-	max := 0
+	longest := 0
 	for _, g := range c.Gates {
 		d := 0
 		for _, q := range g.Qubits {
-			if depth[q] > d {
-				d = depth[q]
-			}
+			d = max(d, depth[q])
 		}
-		if g.IsTwoQubit() {
+		if counts(g) {
 			d++
 		}
 		for _, q := range g.Qubits {
 			depth[q] = d
 		}
-		if d > max {
-			max = d
-		}
+		longest = max(longest, d)
 	}
-	return max
+	return longest
 }
 
 // Counts bundles the paper's Table II metrics.

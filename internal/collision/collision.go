@@ -20,6 +20,7 @@ package collision
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"chipletqc/internal/topo"
 )
@@ -123,18 +124,18 @@ func (c *Checker) FreeInto(v *Violation, f []float64) bool {
 	p := &c.params
 	for i := range c.edges {
 		e := &c.edges[i]
-		if t := edgeViolationType(f[e.control], f[e.target], p); t != 0 {
+		if m := edgeMask(f[e.control], f[e.target], p); m != 0 {
 			if v != nil {
-				*v = Violation{Type: t, Control: e.control, Target: e.target, Target2: -1}
+				*v = Violation{Type: maskType(m), Control: e.control, Target: e.target, Target2: -1}
 			}
 			return false
 		}
 	}
 	for i := range c.pairs {
 		cp := &c.pairs[i]
-		if t := pairViolationType(f[cp.Control], f[cp.T1], f[cp.T2], p); t != 0 {
+		if m := pairMask(f[cp.Control], f[cp.T1], f[cp.T2], p); m != 0 {
 			if v != nil {
-				*v = Violation{Type: t, Control: cp.Control, Target: cp.T1, Target2: cp.T2}
+				*v = Violation{Type: maskType(m), Control: cp.Control, Target: cp.T1, Target2: cp.T2}
 			}
 			return false
 		}
@@ -154,11 +155,13 @@ func (c *Checker) ViolationsInto(dst []Violation, f []float64) []Violation {
 	p := &c.params
 	for i := range c.edges {
 		e := &c.edges[i]
-		dst = appendEdgeViolations(dst, e.control, e.target, f[e.control], f[e.target], p)
+		m := edgeMask(f[e.control], f[e.target], p)
+		dst = appendMask(dst, m, Violation{Control: e.control, Target: e.target, Target2: -1})
 	}
 	for i := range c.pairs {
 		cp := &c.pairs[i]
-		dst = appendPairViolations(dst, cp, f[cp.Control], f[cp.T1], f[cp.T2], p)
+		m := pairMask(f[cp.Control], f[cp.T1], f[cp.T2], p)
+		dst = appendMask(dst, m, Violation{Control: cp.Control, Target: cp.T1, Target2: cp.T2})
 	}
 	return dst
 }
@@ -168,84 +171,78 @@ func (c *Checker) ViolationsInto(dst []Violation, f []float64) []Violation {
 // hot path (NaN-NaN and Inf-Inf are NaN, which compares unequal to 0).
 func finite(f float64) bool { return f-f == 0 }
 
-// edgeViolationType returns the first violated pairwise criterion
-// (1, 2, 3, or 4) for control frequency fi and target frequency fj,
-// NonFinite for NaN/Inf inputs, or 0.
-func edgeViolationType(fi, fj float64, p *Params) int {
-	if !finite(fi) || !finite(fj) {
+// A mask is the set of criteria one coupling or control pair triggers:
+// bit t is Table I type t. Bit 0 (nonFiniteBit) stands for NonFinite
+// and is never combined with another bit, since no comparison is
+// meaningful on a NaN or infinite frequency.
+const nonFiniteBit = 1
+
+// maskType returns the criterion Free reports for mask m: NonFinite,
+// the lowest triggered type, or 0 for an empty mask.
+func maskType(m uint8) int {
+	if m == nonFiniteBit {
 		return NonFinite
 	}
+	if m == 0 {
+		return 0
+	}
+	return bits.TrailingZeros8(m)
+}
+
+// appendMask appends one copy of v per criterion in m, in type order.
+func appendMask(dst []Violation, m uint8, v Violation) []Violation {
+	if m == nonFiniteBit {
+		v.Type = NonFinite
+		return append(dst, v)
+	}
+	for ; m != 0; m &= m - 1 {
+		v.Type = bits.TrailingZeros8(m)
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// edgeMask evaluates the pairwise criteria (types 1-4) for control
+// frequency fi and target frequency fj.
+func edgeMask(fi, fj float64, p *Params) uint8 {
+	if !finite(fi) || !finite(fj) {
+		return nonFiniteBit
+	}
 	a := p.Anharmonicity
+	var m uint8
 	if math.Abs(fi-fj) <= p.T1 {
-		return 1
+		m |= 1 << 1
 	}
 	if math.Abs(fi+a/2-fj) <= p.T2 {
-		return 2
+		m |= 1 << 2
 	}
 	if math.Abs(fi-fj-a) <= p.T3 || math.Abs(fj-fi-a) <= p.T3 {
-		return 3
+		m |= 1 << 3
 	}
 	// Type 4: the target must lie strictly inside the straddling regime
 	// (fi + a, fi); outside it the CR interaction fails.
 	if fj < fi+a || fi < fj {
-		return 4
+		m |= 1 << 4
 	}
-	return 0
+	return m
 }
 
-// pairViolationType returns the first violated spectator criterion
-// (5, 6, or 7) for control fi with targets fj, fk, NonFinite for
-// NaN/Inf inputs, or 0.
-func pairViolationType(fi, fj, fk float64, p *Params) int {
+// pairMask evaluates the spectator criteria (types 5-7) for control fi
+// with targets fj, fk.
+func pairMask(fi, fj, fk float64, p *Params) uint8 {
 	if !finite(fi) || !finite(fj) || !finite(fk) {
-		return NonFinite
+		return nonFiniteBit
 	}
 	a := p.Anharmonicity
+	var m uint8
 	if math.Abs(fj-fk) <= p.T5 {
-		return 5
+		m |= 1 << 5
 	}
 	if math.Abs(fj-fk-a) <= p.T6 || math.Abs(fj+a-fk) <= p.T6 {
-		return 6
+		m |= 1 << 6
 	}
 	if math.Abs(2*fi+a-fj-fk) <= p.T7 {
-		return 7
+		m |= 1 << 7
 	}
-	return 0
-}
-
-func appendEdgeViolations(out []Violation, qi, qj int, fi, fj float64, p *Params) []Violation {
-	if !finite(fi) || !finite(fj) {
-		return append(out, Violation{Type: NonFinite, Control: qi, Target: qj, Target2: -1})
-	}
-	a := p.Anharmonicity
-	if math.Abs(fi-fj) <= p.T1 {
-		out = append(out, Violation{Type: 1, Control: qi, Target: qj, Target2: -1})
-	}
-	if math.Abs(fi+a/2-fj) <= p.T2 {
-		out = append(out, Violation{Type: 2, Control: qi, Target: qj, Target2: -1})
-	}
-	if math.Abs(fi-fj-a) <= p.T3 || math.Abs(fj-fi-a) <= p.T3 {
-		out = append(out, Violation{Type: 3, Control: qi, Target: qj, Target2: -1})
-	}
-	if fj < fi+a || fi < fj {
-		out = append(out, Violation{Type: 4, Control: qi, Target: qj, Target2: -1})
-	}
-	return out
-}
-
-func appendPairViolations(out []Violation, cp *topo.ControlPair, fi, fj, fk float64, p *Params) []Violation {
-	if !finite(fi) || !finite(fj) || !finite(fk) {
-		return append(out, Violation{Type: NonFinite, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
-	}
-	a := p.Anharmonicity
-	if math.Abs(fj-fk) <= p.T5 {
-		out = append(out, Violation{Type: 5, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
-	}
-	if math.Abs(fj-fk-a) <= p.T6 || math.Abs(fj+a-fk) <= p.T6 {
-		out = append(out, Violation{Type: 6, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
-	}
-	if math.Abs(2*fi+a-fj-fk) <= p.T7 {
-		out = append(out, Violation{Type: 7, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
-	}
-	return out
+	return m
 }

@@ -48,13 +48,13 @@ func TestIdealAssignmentStepSweep(t *testing.T) {
 
 func TestType1NearNull(t *testing.T) {
 	p := DefaultParams()
-	if got := edgeViolationType(5.12, 5.12+0.016, &p); got != 1 {
+	if got := maskType(edgeMask(5.12, 5.12+0.016, &p)); got != 1 {
 		t.Errorf("detuning 0.016 should be type 1, got %d", got)
 	}
-	if got := edgeViolationType(5.12, 5.12-0.0169, &p); got != 1 {
+	if got := maskType(edgeMask(5.12, 5.12-0.0169, &p)); got != 1 {
 		t.Errorf("detuning -0.0169 should be type 1, got %d", got)
 	}
-	if got := edgeViolationType(5.12, 5.06, &p); got != 0 {
+	if got := maskType(edgeMask(5.12, 5.06, &p)); got != 0 {
 		t.Errorf("healthy 0.06 detuning flagged: type %d", got)
 	}
 }
@@ -62,10 +62,10 @@ func TestType1NearNull(t *testing.T) {
 func TestType2HalfAnharmonicity(t *testing.T) {
 	p := DefaultParams()
 	// fi + a/2 = fj: control 5.12, a = -0.330 -> fj near 4.955.
-	if got := edgeViolationType(5.12, 4.9551, &p); got != 2 {
+	if got := maskType(edgeMask(5.12, 4.9551, &p)); got != 2 {
 		t.Errorf("half-anharmonicity resonance should be type 2, got %d", got)
 	}
-	if got := edgeViolationType(5.12, 4.9499, &p); got == 2 {
+	if got := maskType(edgeMask(5.12, 4.9499, &p)); got == 2 {
 		t.Error("0.0051 away from resonance should not be type 2")
 	}
 }
@@ -73,11 +73,11 @@ func TestType2HalfAnharmonicity(t *testing.T) {
 func TestType3Anharmonicity(t *testing.T) {
 	p := DefaultParams()
 	// fi = fj + a: control 5.12, fj = 5.45 -> fi - fj = -0.33 = a.
-	if got := edgeViolationType(5.12, 5.44, &p); got != 3 {
+	if got := maskType(edgeMask(5.12, 5.44, &p)); got != 3 {
 		t.Errorf("anharmonicity detuning should be type 3, got %d", got)
 	}
 	// Symmetric direction: fj = fi + a = 4.79.
-	if got := edgeViolationType(5.12, 4.80, &p); got != 3 {
+	if got := maskType(edgeMask(5.12, 4.80, &p)); got != 3 {
 		t.Errorf("reverse anharmonicity detuning should be type 3, got %d", got)
 	}
 }
@@ -85,26 +85,26 @@ func TestType3Anharmonicity(t *testing.T) {
 func TestType4StraddlingRegime(t *testing.T) {
 	p := DefaultParams()
 	// Target above control: fails.
-	if got := edgeViolationType(5.0, 5.05, &p); got != 4 {
+	if got := maskType(edgeMask(5.0, 5.05, &p)); got != 4 {
 		t.Errorf("target above control should be type 4, got %d", got)
 	}
 	// Target far below the straddle (below fi + a, and outside type-3
 	// band): 5.12 - 0.33 - 0.05 = 4.74.
-	if got := edgeViolationType(5.12, 4.74, &p); got != 4 {
+	if got := maskType(edgeMask(5.12, 4.74, &p)); got != 4 {
 		t.Errorf("target below straddle should be type 4, got %d", got)
 	}
 	// Target inside the straddle: fine.
-	if got := edgeViolationType(5.12, 5.0, &p); got != 0 {
+	if got := maskType(edgeMask(5.12, 5.0, &p)); got != 0 {
 		t.Errorf("target inside straddle flagged: type %d", got)
 	}
 }
 
 func TestType5TargetsNearResonant(t *testing.T) {
 	p := DefaultParams()
-	if got := pairViolationType(5.12, 5.0, 5.012, &p); got != 5 {
+	if got := maskType(pairMask(5.12, 5.0, 5.012, &p)); got != 5 {
 		t.Errorf("near-resonant targets should be type 5, got %d", got)
 	}
-	if got := pairViolationType(5.12, 5.0, 5.06, &p); got != 0 {
+	if got := maskType(pairMask(5.12, 5.0, 5.06, &p)); got != 0 {
 		t.Errorf("distinct targets flagged: type %d", got)
 	}
 }
@@ -112,11 +112,11 @@ func TestType5TargetsNearResonant(t *testing.T) {
 func TestType6TargetAnharmonicity(t *testing.T) {
 	p := DefaultParams()
 	// fj = fk + a: fj = 5.0, fk = 5.33.
-	if got := pairViolationType(5.7, 5.0, 5.33, &p); got != 6 {
+	if got := maskType(pairMask(5.7, 5.0, 5.33, &p)); got != 6 {
 		t.Errorf("target anharmonicity gap should be type 6, got %d", got)
 	}
 	// Mirrored: fj + a = fk.
-	if got := pairViolationType(5.7, 5.33, 5.0, &p); got != 6 {
+	if got := maskType(pairMask(5.7, 5.33, 5.0, &p)); got != 6 {
 		t.Errorf("mirrored target anharmonicity gap should be type 6, got %d", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestType7TwoPhoton(t *testing.T) {
 	if math.Abs(fj+fk-9.91) > 1e-9 {
 		t.Fatal("test construction broken")
 	}
-	if got := pairViolationType(5.12, fj, fk, &p); got != 7 {
+	if got := maskType(pairMask(5.12, fj, fk, &p)); got != 7 {
 		t.Errorf("two-photon resonance should be type 7, got %d", got)
 	}
 }

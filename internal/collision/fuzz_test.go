@@ -8,11 +8,11 @@ import (
 	"chipletqc/internal/topo"
 )
 
-// FuzzCheckPair fuzzes the pairwise criteria (types 1-4,
-// edgeViolationType) over arbitrary frequency pairs, asserting
-// non-finite rejection and consistency with the exhaustive violation
-// enumeration. The fuzz targets keep their names because CI fuzzes
-// them by name.
+// FuzzCheckPair fuzzes the pairwise criteria (types 1-4, edgeMask)
+// over arbitrary frequency pairs, asserting non-finite rejection, that
+// the mask holds only its family's bits, and that the first-hit type
+// Free reports agrees with the per-bit violation enumeration. The fuzz
+// targets keep their names because CI fuzzes them by name.
 func FuzzCheckPair(f *testing.F) {
 	p := DefaultParams()
 	a := p.Anharmonicity
@@ -34,27 +34,31 @@ func FuzzCheckPair(f *testing.F) {
 	f.Add(math.Inf(-1), 5.0)
 
 	f.Fuzz(func(t *testing.T, fi, fj float64) {
-		got := edgeViolationType(fi, fj, &p)
+		m := edgeMask(fi, fj, &p)
+		got := maskType(m)
 		nonFinite := math.IsNaN(fi) || math.IsInf(fi, 0) ||
 			math.IsNaN(fj) || math.IsInf(fj, 0)
 		if nonFinite {
 			if got != NonFinite {
-				t.Fatalf("edgeViolationType(%v, %v) = %d, want NonFinite for non-finite input", fi, fj, got)
+				t.Fatalf("edgeMask(%v, %v) = %#x, want NonFinite for non-finite input", fi, fj, m)
 			}
 			return
 		}
 		if got == NonFinite {
-			t.Fatalf("edgeViolationType(%v, %v) = NonFinite for finite input", fi, fj)
+			t.Fatalf("edgeMask(%v, %v) = NonFinite for finite input", fi, fj)
 		}
-		// Consistency with the exhaustive enumeration: edgeViolationType returns
+		if m&^0b11110 != 0 {
+			t.Fatalf("edgeMask(%v, %v) = %#x sets bits outside types 1-4", fi, fj, m)
+		}
+		// Consistency with the exhaustive enumeration: maskType returns
 		// 0 iff no pairwise criterion triggers, and otherwise the first
 		// (lowest-numbered) triggered criterion.
-		all := appendEdgeViolations(nil, 0, 1, fi, fj, &p)
+		all := appendMask(nil, m, Violation{Control: 0, Target: 1, Target2: -1})
 		if (got == 0) != (len(all) == 0) {
-			t.Fatalf("edgeViolationType(%v, %v) = %d but enumeration found %v", fi, fj, got, all)
+			t.Fatalf("edgeMask(%v, %v) type %d but enumeration found %v", fi, fj, got, all)
 		}
 		if got != 0 && all[0].Type != got {
-			t.Fatalf("edgeViolationType(%v, %v) = %d but first enumerated violation is %v", fi, fj, got, all[0])
+			t.Fatalf("edgeMask(%v, %v) type %d but first enumerated violation is %v", fi, fj, got, all[0])
 		}
 		// Threshold semantics spot-checks on criteria 1-3 (inclusive <=).
 		if d := math.Abs(fi - fj); d <= p.T1 && got != 1 {
@@ -63,8 +67,7 @@ func FuzzCheckPair(f *testing.F) {
 	})
 }
 
-// FuzzCheckTriple fuzzes the spectator criteria (types 5-7,
-// pairViolationType).
+// FuzzCheckTriple fuzzes the spectator criteria (types 5-7, pairMask).
 func FuzzCheckTriple(f *testing.F) {
 	p := DefaultParams()
 	a := p.Anharmonicity
@@ -80,26 +83,29 @@ func FuzzCheckTriple(f *testing.F) {
 	f.Add(5.0, 5.3, math.Inf(-1))
 
 	f.Fuzz(func(t *testing.T, fi, fj, fk float64) {
-		got := pairViolationType(fi, fj, fk, &p)
+		m := pairMask(fi, fj, fk, &p)
+		got := maskType(m)
 		nonFinite := math.IsNaN(fi) || math.IsInf(fi, 0) ||
 			math.IsNaN(fj) || math.IsInf(fj, 0) ||
 			math.IsNaN(fk) || math.IsInf(fk, 0)
 		if nonFinite {
 			if got != NonFinite {
-				t.Fatalf("pairViolationType(%v, %v, %v) = %d, want NonFinite", fi, fj, fk, got)
+				t.Fatalf("pairMask(%v, %v, %v) = %#x, want NonFinite", fi, fj, fk, m)
 			}
 			return
 		}
 		if got == NonFinite {
-			t.Fatalf("pairViolationType(%v, %v, %v) = NonFinite for finite input", fi, fj, fk)
+			t.Fatalf("pairMask(%v, %v, %v) = NonFinite for finite input", fi, fj, fk)
 		}
-		cp := topo.ControlPair{Control: 0, T1: 1, T2: 2}
-		all := appendPairViolations(nil, &cp, fi, fj, fk, &p)
+		if m&^0b11100000 != 0 {
+			t.Fatalf("pairMask(%v, %v, %v) = %#x sets bits outside types 5-7", fi, fj, fk, m)
+		}
+		all := appendMask(nil, m, Violation{Control: 0, Target: 1, Target2: 2})
 		if (got == 0) != (len(all) == 0) {
-			t.Fatalf("pairViolationType(%v, %v, %v) = %d but enumeration found %v", fi, fj, fk, got, all)
+			t.Fatalf("pairMask(%v, %v, %v) type %d but enumeration found %v", fi, fj, fk, got, all)
 		}
 		if got != 0 && all[0].Type != got {
-			t.Fatalf("pairViolationType(%v, %v, %v) = %d but first enumerated violation is %v",
+			t.Fatalf("pairMask(%v, %v, %v) type %d but first enumerated violation is %v",
 				fi, fj, fk, got, all[0])
 		}
 		if d := math.Abs(fj - fk); d <= p.T5 && got != 5 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"chipletqc/internal/assembly"
 	"chipletqc/internal/mcm"
@@ -168,6 +169,30 @@ func (c *Config) progress(label string, done, total int) {
 	if c.Progress != nil {
 		c.Progress(Event{Label: label, Done: done, Total: total})
 	}
+}
+
+// fanOut runs fn over n independent, independently seeded units — the
+// systems of Figs. 9 and 10, the chiplet sizes of Figs. 1 and 8 and
+// Table II, Fig. 8's monolithic sizes and grids. It resolves the shared
+// detuning model once, then splits the worker budget between the unit
+// fan-out and each unit's nested work, whose share arrives as fn's
+// config, so total concurrency stays near cfg.Workers. A failing unit
+// cancels the remaining work and the lowest-indexed error is returned;
+// each success reports progress under label.
+func fanOut[T any](ctx context.Context, cfg Config, label string, n int,
+	fn func(icfg Config, i int) (T, error)) ([]T, error) {
+	cfg.det()
+	outer, inner := runner.Split(cfg.Workers, n)
+	icfg := cfg
+	icfg.Workers = inner
+	var done atomic.Int64
+	return runner.MapErr(ctx, n, outer, func(i int) (T, error) {
+		v, err := fn(icfg, i)
+		if err == nil {
+			cfg.progress(label, int(done.Add(1)), n)
+		}
+		return v, err
+	})
 }
 
 // batchConfig assembles the chiplet fabrication configuration from the

@@ -30,22 +30,19 @@ type Fig1Row struct {
 // infidelity rises.
 func Fig1(ctx context.Context, cfg Config) ([]Fig1Row, error) {
 	catalog := cfg.catalog()
-	out := make([]Fig1Row, 0, len(catalog))
-	for i, cs := range catalog {
-		dev := topo.MonolithicDevice(cs.Spec)
-		bc := cfg.batchConfig(seedOffFig1Population + int64(i))
-		eavgs, err := assembly.Survivors(ctx, dev, cfg.ChipletBatch, cfg.ChipletBatch, bc, eavg(dev, bc.Det))
+	return fanOut(ctx, cfg, "fig1", len(catalog), func(icfg Config, i int) (Fig1Row, error) {
+		dev := topo.MonolithicDevice(catalog[i].Spec)
+		bc := icfg.batchConfig(seedOffFig1Population + int64(i))
+		eavgs, err := assembly.Survivors(ctx, dev, icfg.ChipletBatch, icfg.ChipletBatch, bc, eavg(dev, bc.Det))
 		if err != nil {
-			return nil, err
+			return Fig1Row{}, err
 		}
-		row := Fig1Row{Qubits: cs.Qubits, EAvg: meanOrNaN(eavgs)}
-		if cfg.ChipletBatch > 0 {
-			row.Yield = float64(len(eavgs)) / float64(cfg.ChipletBatch)
+		row := Fig1Row{Qubits: catalog[i].Qubits, EAvg: meanOrNaN(eavgs)}
+		if icfg.ChipletBatch > 0 {
+			row.Yield = float64(len(eavgs)) / float64(icfg.ChipletBatch)
 		}
-		out = append(out, row)
-		cfg.progress("fig1", i+1, len(catalog))
-	}
-	return out, nil
+		return row, nil
+	})
 }
 
 // --- Fig. 2: wafer output, monolithic vs chiplet ---------------------------
@@ -207,28 +204,25 @@ var Table2Chiplets = []int{10, 20, 40, 60, 90}
 
 // Table2 compiles the seven benchmarks onto 2x2 MCMs of the Table II
 // chiplet sizes at 80% utilisation and reports 1q / 2q / 2q-critical.
-// The context is checked between systems (compilation is CPU-bound but
-// short per system).
+// The chiplet sizes compile concurrently; rows stay in size order.
 func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
-	var out []Table2Row
-	for i, cq := range Table2Chiplets {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		spec, err := cfg.scn().SpecForQubits(cq)
+	perSize, err := fanOut(ctx, cfg, "table2", len(Table2Chiplets), func(icfg Config, i int) ([]Table2Row, error) {
+		cq := Table2Chiplets[i]
+		spec, err := icfg.scn().SpecForQubits(cq)
 		if err != nil {
 			return nil, err
 		}
 		grid := mcm.Grid{Rows: 2, Cols: 2, Spec: spec}
 		dev := mcm.MustBuild(grid)
 		width := qbench.UtilizedQubits(dev.N)
+		var rows []Table2Row
 		for _, bs := range qbench.Suite() {
-			c := bs.Generate(width, cfg.Seed+seedOffTable2Circuits)
+			c := bs.Generate(width, icfg.Seed+seedOffTable2Circuits)
 			r, err := compiler.Compile(c, dev)
 			if err != nil {
 				return nil, fmt.Errorf("table II %dq %s: %w", cq, bs.Short, err)
 			}
-			out = append(out, Table2Row{
+			rows = append(rows, Table2Row{
 				ChipletQubits: cq,
 				Dim:           "2x2",
 				SystemQubits:  dev.N,
@@ -236,7 +230,14 @@ func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 				Counts:        r.Counts,
 			})
 		}
-		cfg.progress("table2", i+1, len(Table2Chiplets))
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []Table2Row
+	for _, rows := range perSize {
+		out = append(out, rows...)
 	}
 	return out, nil
 }

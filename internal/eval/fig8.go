@@ -3,11 +3,9 @@ package eval
 import (
 	"context"
 	"sort"
-	"sync/atomic"
 
 	"chipletqc/internal/assembly"
 	"chipletqc/internal/mcm"
-	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 	"chipletqc/internal/yield"
 )
@@ -53,24 +51,13 @@ type Fig8Result struct {
 // result is identical at any worker count. Cancelling ctx aborts the
 // run within one in-flight trial per worker and returns ctx.Err().
 func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
-	cfg.det() // resolve the shared detuning model before fanning out
+	cfg.det() // one detuning model shared by all three stages
 	catalog := cfg.catalog()
 	grids := mcm.EnumerateGridsFrom(catalog, cfg.MaxQubits)
 
-	// One fabrication batch per chiplet size, re-assembled per grid. The
-	// worker budget splits between the per-size fan-out and the nested
-	// per-die fabrication so total concurrency stays near cfg.Workers.
-	fabOuter, fabInner := runner.Split(cfg.Workers, len(catalog))
-	fabCfg := cfg
-	fabCfg.Workers = fabInner
-	var fabDone atomic.Int64
-	batchList, err := runner.MapErr(ctx, len(catalog), fabOuter, func(i int) (*assembly.Batch, error) {
-		b, err := assembly.Fabricate(ctx, catalog[i].Spec, cfg.ChipletBatch, fabCfg.batchConfig(seedOffFig8Fabricate+int64(i)))
-		if err != nil {
-			return nil, err
-		}
-		cfg.progress("fig8/fabricate", int(fabDone.Add(1)), len(catalog))
-		return b, nil
+	// One fabrication batch per chiplet size, re-assembled per grid.
+	batchList, err := fanOut(ctx, cfg, "fig8/fabricate", len(catalog), func(icfg Config, i int) (*assembly.Batch, error) {
+		return assembly.Fabricate(ctx, catalog[i].Spec, icfg.ChipletBatch, icfg.batchConfig(seedOffFig8Fabricate+int64(i)))
 	})
 	if err != nil {
 		return Fig8Result{}, err
@@ -89,18 +76,10 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 			monoQubits = append(monoQubits, q)
 		}
 	}
-	monoOuter, monoInner := runner.Split(cfg.Workers, len(monoQubits))
-	var monoDone atomic.Int64
-	monoList, err := runner.MapErr(ctx, len(monoQubits), monoOuter, func(i int) (yield.Result, error) {
+	monoList, err := fanOut(ctx, cfg, "fig8/mono", len(monoQubits), func(icfg Config, i int) (yield.Result, error) {
 		q := monoQubits[i]
-		ycfg := cfg.yieldConfig(cfg.MonoBatch, cfg.Seed+seedOffFig8Mono+int64(q))
-		ycfg.Workers = monoInner
-		res, err := yield.Simulate(ctx, topo.MonolithicDevice(topo.MonolithicSpec(q)), ycfg)
-		if err != nil {
-			return yield.Result{}, err
-		}
-		cfg.progress("fig8/mono", int(monoDone.Add(1)), len(monoQubits))
-		return res, nil
+		ycfg := icfg.yieldConfig(icfg.MonoBatch, icfg.Seed+seedOffFig8Mono+int64(q))
+		return yield.Simulate(ctx, topo.MonolithicDevice(topo.MonolithicSpec(q)), ycfg)
 	})
 	if err != nil {
 		return Fig8Result{}, err
@@ -119,19 +98,16 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 	}
 
 	// Assembly is read-only on the shared batches, so grids fan out too.
-	var asmDone atomic.Int64
-	res.Points, err = runner.MapErr(ctx, len(grids), cfg.Workers, func(gi int) (Fig8Point, error) {
+	res.Points, err = fanOut(ctx, cfg, "fig8/assemble", len(grids), func(icfg Config, gi int) (Fig8Point, error) {
 		g := grids[gi]
 		b := batches[g.Spec.Qubits()]
-		acfg := cfg.assembleConfig(seedOffFig8Assemble + int64(gi))
-		_, st, err := assembly.Assemble(ctx, b, g, acfg)
+		_, st, err := assembly.Assemble(ctx, b, g, icfg.assembleConfig(seedOffFig8Assemble+int64(gi)))
 		if err != nil {
 			return Fig8Point{}, err
 		}
 		// 100x bump-bond failure sensitivity (the paper's dashed line).
 		y100 := st.AssemblyYield * assembly.BondSurvival(st.LinkedQubits, 100)
 		mono := monoYield[g.Qubits()]
-		cfg.progress("fig8/assemble", int(asmDone.Add(1)), len(grids))
 		return Fig8Point{
 			Grid:         g,
 			Qubits:       g.Qubits(),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"chipletqc/internal/assembly"
 	"chipletqc/internal/compiler"
@@ -56,7 +55,8 @@ func Fig9(ctx context.Context, cfg Config) (map[string][]Fig9Cell, error) {
 
 	// The link sweep within one grid stays serial because ResampleLinks
 	// mutates the selected modules in ratio order.
-	perGrid, err := perSystem(ctx, cfg, "fig9", grids, func(icfg Config, gi int, g mcm.Grid) ([]Fig9Cell, error) {
+	perGrid, err := fanOut(ctx, cfg, "fig9", len(grids), func(icfg Config, gi int) ([]Fig9Cell, error) {
+		g := grids[gi]
 		mods, err := icfg.waferScaledMCMs(ctx, g, seedOffFig9Fabricate+int64(gi), seedOffFig9Assemble+int64(gi), icfg.scn().Link)
 		if err != nil {
 			return nil, err
@@ -110,29 +110,6 @@ func Fig9(ctx context.Context, cfg Config) (map[string][]Fig9Cell, error) {
 	return out, nil
 }
 
-// perSystem fans fn out over the MCM systems of Figs. 9 and 10. Each
-// system's fabricate-assemble-compare pipeline is independent and
-// independently seeded; the worker budget splits between the system
-// fan-out and the nested fabrication/Monte Carlo, whose share arrives
-// as fn's config, so total concurrency stays near cfg.Workers. A failing
-// system cancels the remaining work and the lowest-indexed error is
-// returned; each success reports progress under label.
-func perSystem[T any](ctx context.Context, cfg Config, label string, grids []mcm.Grid,
-	fn func(icfg Config, gi int, g mcm.Grid) (T, error)) ([]T, error) {
-	cfg.det() // resolve the shared detuning model before fanning out
-	outer, inner := runner.Split(cfg.Workers, len(grids))
-	icfg := cfg
-	icfg.Workers = inner
-	var done atomic.Int64
-	return runner.MapErr(ctx, len(grids), outer, func(gi int) (T, error) {
-		v, err := fn(icfg, gi, grids[gi])
-		if err == nil {
-			cfg.progress(label, int(done.Add(1)), len(grids))
-		}
-		return v, err
-	})
-}
-
 // Fig10Point is one benchmark evaluated on one MCM system against its
 // monolithic counterpart.
 type Fig10Point struct {
@@ -162,8 +139,8 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 	if samples < 1 {
 		samples = 3
 	}
-	perGrid, err := perSystem(ctx, cfg, "fig10", grids, func(icfg Config, gi int, g mcm.Grid) ([]Fig10Point, error) {
-		return fig10System(ctx, icfg, g, gi, samples)
+	perGrid, err := fanOut(ctx, cfg, "fig10", len(grids), func(icfg Config, gi int) ([]Fig10Point, error) {
+		return fig10System(ctx, icfg, grids[gi], gi, samples)
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"chipletqc/internal/mcm"
@@ -119,5 +120,73 @@ func TestFig8PropagatesMonoYieldErrors(t *testing.T) {
 	cfg.Sampling = sampling.Spec{Method: "bogus"}
 	if res, err := Fig8(context.Background(), cfg); err == nil {
 		t.Errorf("Fig8 returned %d points with a nil error", len(res.Points))
+	}
+}
+
+// TestFanOutStageProgress pins unit progress for every fan-out stage:
+// at any worker count, each label reports units 1..n exactly once, all
+// against the total n, so the last event a consumer keeps reads
+// Done == Total == n.
+func TestFanOutStageProgress(t *testing.T) {
+	fig10Grids := mcm.EnumerateGrids(40)
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		events := map[string][]Event{}
+		cfg := tinyConfig(14, workers)
+		cfg.Progress = func(e Event) {
+			mu.Lock()
+			events[e.Label] = append(events[e.Label], e)
+			mu.Unlock()
+		}
+		ctx := context.Background()
+		if _, err := Fig1(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fig8(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fig9(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Fig10(ctx, cfg, fig10Grids, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Table2(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+
+		catalog := cfg.catalog()
+		fig8Grids := mcm.EnumerateGridsFrom(catalog, cfg.MaxQubits)
+		monoSizes := map[int]bool{}
+		for _, g := range fig8Grids {
+			monoSizes[g.Qubits()] = true
+		}
+		want := map[string]int{
+			"fig1":           len(catalog),
+			"fig8/fabricate": len(catalog),
+			"fig8/mono":      len(monoSizes),
+			"fig8/assemble":  len(fig8Grids),
+			"fig9":           len(mcm.SquareGridsFrom(catalog, cfg.MaxQubits)),
+			"fig10":          len(fig10Grids),
+			"table2":         len(Table2Chiplets),
+		}
+		for label, n := range want {
+			if n == 0 {
+				t.Fatalf("%s has no units at this scale", label)
+			}
+			got := events[label]
+			seen := make([]bool, n+1)
+			for _, e := range got {
+				if e.Total != n || e.Done < 1 || e.Done > n || seen[e.Done] {
+					t.Errorf("workers %d %s: event %+v, want Done 1..%d once each of Total %d",
+						workers, label, e, n, n)
+					continue
+				}
+				seen[e.Done] = true
+			}
+			if len(got) != n {
+				t.Errorf("workers %d %s: %d events, want %d", workers, label, len(got), n)
+			}
+		}
 	}
 }

@@ -55,9 +55,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Perm returns a random permutation of [0, n) as a reusable helper around
-// rand.Perm, present so call sites read uniformly with this package.
-func Perm(r *rand.Rand, n int) []int {
-	return r.Perm(n)
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -298,21 +299,9 @@ func copyFileAtomic(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(dst)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(dst)+tempMarker+"*")
-	if err != nil {
+	_, err = writeAtomic(dst, func(w io.Writer) error {
+		_, err := w.Write(raw)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), dst)
+	})
+	return err
 }

@@ -16,10 +16,12 @@ import (
 	"chipletqc/internal/experiment"
 )
 
-// Temp files staged by Put are dotfiles matching ".<key>.tmp-*"; a Put
-// killed between CreateTemp and Rename leaves one behind. Open sweeps
-// temps old enough that no live Put can own them; Prune sweeps with a
-// much shorter grace period (it is an explicit admin action).
+// Temp files staged by writeAtomic (for Put, the manifest snapshot and
+// Backup/Restore copies) are dotfiles matching ".<file>.tmp-*" beside
+// the file they replace; a writer killed between CreateTemp and Rename
+// leaves one behind. Open sweeps temps old enough that no live writer
+// can own them; Prune sweeps with a much shorter grace period (it is an
+// explicit admin action).
 const (
 	tempMarker        = ".tmp-"
 	openTempSweepAge  = time.Hour
@@ -107,31 +109,9 @@ func (s *FS) Put(a experiment.Artifact) (string, error) {
 		return "", errClosed
 	}
 	dst := s.path(a.Name, a.Fingerprint)
-	tmp, err := os.CreateTemp(s.dir, "."+Key(a.Name, a.Fingerprint)+tempMarker+"*")
+	size, err := writeAtomic(dst, a.WriteJSON)
 	if err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := a.WriteJSON(tmp); err != nil {
-		tmp.Close()
 		return "", fmt.Errorf("store: writing %s: %w", dst, err)
-	}
-	size, err := tmp.Seek(0, io.SeekCurrent)
-	if err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("store: writing %s: %w", dst, err)
-	}
-	// CreateTemp's 0600 would lock out other users sharing the store
-	// directory (sharded campaigns across accounts); records are
-	// world-readable like any build artifact.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return "", fmt.Errorf("store: %w", err)
 	}
 
 	key := Key(a.Name, a.Fingerprint)
@@ -385,10 +365,43 @@ func recordKeyForFile(e os.DirEntry) (string, bool) {
 	return key, true
 }
 
-// sweepTemps removes Put staging temps older than olderThan, returning
+// writeAtomic replaces dst with what write produces, staged in a
+// dotfile temp beside it (".<file>.tmp-*") and renamed into place, so
+// readers never observe a partial file. It returns the bytes written.
+// A failed write leaves dst untouched and removes the temp.
+func writeAtomic(dst string, write func(io.Writer) error) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+filepath.Base(dst)+tempMarker+"*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	err = write(tmp)
+	var size int64
+	if err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	// CreateTemp's 0600 would lock out other users sharing the store
+	// directory (sharded campaigns across accounts); store files are
+	// world-readable like any build artifact.
+	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), dst); err != nil {
+		return 0, err
+	}
+	return size, nil
+}
+
+// sweepTemps removes writeAtomic temps older than olderThan, returning
 // how many it removed. Temps are dotfiles carrying the tempMarker; a
-// live Put's temp is seconds old, so an old one can only be the debris
-// of a killed process.
+// live writer's temp is seconds old, so an old one can only be the
+// debris of a killed process.
 func (s *FS) sweepTemps(olderThan time.Duration) int {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

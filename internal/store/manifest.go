@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -178,23 +179,12 @@ func writeManifest(dir string, idx map[string]*recordMeta) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "."+manifestName+".tmp-*")
+	_, err = writeAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
 		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: writing manifest: %w", err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

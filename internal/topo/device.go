@@ -56,13 +56,17 @@ func (d *Device) IsLink(u, v int) bool {
 	return d.Link[graph.NewEdge(u, v)]
 }
 
-// ControlOf returns the CR control qubit of the coupling (u, v): the
-// endpoint with the higher ideal frequency class, which in the paper's
-// allocation is always the F2 qubit. Ties (which never occur in valid
-// heavy-hex patterns) break toward the lower qubit id so the choice is
-// deterministic.
-func (d *Device) ControlOf(u, v int) int {
-	cu, cv := d.Class[u], d.Class[v]
+// ControlOf returns the CR control qubit of the coupling (u, v) under
+// the device's own frequency classes (see ControlByClass).
+func (d *Device) ControlOf(u, v int) int { return ControlByClass(d.Class, u, v) }
+
+// ControlByClass returns the CR control qubit of the coupling (u, v)
+// under the class assignment class: the endpoint with the higher ideal
+// frequency class, which in the paper's allocation is always the F2
+// qubit. Ties (which never occur in valid heavy-hex patterns) break
+// toward the lower qubit id so the choice is deterministic.
+func ControlByClass(class []Class, u, v int) int {
+	cu, cv := class[u], class[v]
 	switch {
 	case cu > cv:
 		return u
@@ -87,7 +91,12 @@ func (d *Device) TargetOf(u, v int) int {
 // ControlPairs enumerates, for every qubit that controls at least two of
 // its neighbours, each unordered pair of controlled targets. These are
 // the (Qi; Qj, Qk) triples that the Table I Type 5-7 criteria inspect.
-func (d *Device) ControlPairs() []ControlPair {
+func (d *Device) ControlPairs() []ControlPair { return ControlPairsByClass(d, d.Class) }
+
+// ControlPairsByClass is ControlPairs under the class assignment class
+// on d's coupling graph, in qubit order and, per control, in neighbour
+// order.
+func ControlPairsByClass(d *Device, class []Class) []ControlPair {
 	// Count, then fill: this runs in per-simulation constructors (the
 	// collision checker, the sampling proposals), where per-qubit append
 	// chains dominated the engine's allocation profile.
@@ -95,7 +104,7 @@ func (d *Device) ControlPairs() []ControlPair {
 	for q := 0; q < d.N; q++ {
 		c := 0
 		for _, nb := range d.G.Neighbors(q) {
-			if d.ControlOf(q, nb) == q {
+			if ControlByClass(class, q, nb) == q {
 				c++
 			}
 		}
@@ -106,7 +115,7 @@ func (d *Device) ControlPairs() []ControlPair {
 	for q := 0; q < d.N; q++ {
 		targets = targets[:0]
 		for _, nb := range d.G.Neighbors(q) {
-			if d.ControlOf(q, nb) == q {
+			if ControlByClass(class, q, nb) == q {
 				targets = append(targets, nb)
 			}
 		}
