@@ -36,9 +36,18 @@ func perfSetup(fs *flag.FlagSet) func(ctx context.Context) ([]perfRecord, error)
 	}
 }
 
-// runPerf is the measurement behind perf and perfcheck; the perfcheck
-// tests replace it with fixed records to test the verdict alone.
-var runPerf = measurePerf
+// runPerf is the measurement behind perf and perfcheck, best of
+// perfReps timings per record; the perfcheck tests replace it with
+// fixed records to test the verdict alone.
+var runPerf = func(ctx context.Context, scn scenario.Scenario, batch, workers int, seed int64) ([]perfRecord, error) {
+	return measurePerf(ctx, scn, batch, workers, seed, perfReps)
+}
+
+// perfReps is the best-of-N count of each perf record: the minimum
+// ns/op is far less sensitive to scheduler noise than a single sample,
+// which is what lets the perf gate hold a tight tolerance without
+// flaking.
+const perfReps = 3
 
 // perfFlags declares the perf verb: measure the yield hot path and
 // write the records as JSON.
@@ -146,8 +155,9 @@ type perfRecord struct {
 // plus one end-to-end wall-time record of the tight-thresholds
 // rare-event scenario (adaptive stop at 20% relative precision on a
 // 24-qubit device). The records carry the scenario name so the CI perf
-// trajectory distinguishes device worlds.
-func measurePerf(ctx context.Context, scn scenario.Scenario, batch, workers int, seed int64) ([]perfRecord, error) {
+// trajectory distinguishes device worlds. Each record keeps the best of
+// reps timings.
+func measurePerf(ctx context.Context, scn scenario.Scenario, batch, workers int, seed int64, reps int) ([]perfRecord, error) {
 	if batch <= 0 {
 		batch = scn.Trials.ChipletBatch // -batch 0 = the scenario's policy, as elsewhere
 	}
@@ -164,11 +174,8 @@ func measurePerf(ctx context.Context, scn scenario.Scenario, batch, workers int,
 		if err != nil {
 			return perfRecord{}, err
 		}
-		// Best-of-3: the minimum ns/op is far less sensitive to scheduler
-		// noise than a single sample, which is what lets the perf gate
-		// hold a tight tolerance without flaking.
 		var br testing.BenchmarkResult
-		for rep := 0; rep < 3; rep++ {
+		for rep := 0; rep < reps; rep++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

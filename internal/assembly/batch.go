@@ -1,10 +1,11 @@
 package assembly
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
@@ -31,7 +32,7 @@ type Batch struct {
 	Spec topo.ChipSpec
 	Chip *topo.Chip
 	Size int        // dies fabricated
-	Free []*Chiplet // collision-free bin, ascending AvgErr
+	Free []*Chiplet // collision-free bin, ascending AvgErr, ties by ID
 }
 
 // Yield returns the collision-free chiplet yield of the batch.
@@ -79,18 +80,26 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(free, func(i, j int) bool {
-		return free[i].AvgErr < free[j].AvgErr
-	})
+	sortBin(free)
 	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free}, nil
+}
+
+// sortBin orders a KGD bin best first: ascending AvgErr, ties by die ID.
+// Die IDs are unique, so the order is total and needs no stable sort.
+func sortBin(bin []*Chiplet) {
+	slices.SortFunc(bin, func(a, b *Chiplet) int {
+		return cmp.Or(cmp.Compare(a.AvgErr, b.AvgErr), cmp.Compare(a.ID, b.ID))
+	})
 }
 
 // Survivors is the one KGD die scan: it fabricates up to n dies of dev
 // under cfg.Fab, die i on its own (cfg.Seed, i) RNG stream, screens each
-// against the Table I criteria, and returns keep(i, r, f) for the first
-// want collision-free dies in die order. keep sees the die's stream
-// just past the frequency draws and the worker's frequency buffer,
-// which it must copy to retain. When want < n the scan runs in
+// against the Table I criteria while drawing it (fab.Model.SampleFreeInto
+// stops a die's draws at its first collision), and returns keep(i, r, f)
+// for the first want collision-free dies in die order. keep sees the
+// die's stream just past the frequency draws and the worker's frequency
+// buffer, both exactly as fab.Model.SampleInto leaves them; it must
+// copy the buffer to retain it. When want < n the scan runs in
 // worker-sized chunks and stops after the chunk that completes the
 // population. Workers reuse one RNG and buffer, so a discarded die
 // costs zero allocations, and the result is identical at any worker
@@ -114,8 +123,7 @@ func Survivors[T any](ctx context.Context, dev *topo.Device, n, want int, cfg Ba
 		dies, err := runner.MapLocal(ctx, min(chunk, n-lo), cfg.Workers, runner.NewScratch(dev.N),
 			func(l runner.Scratch, j int) die {
 				r := l.RNG.At(cfg.Seed, lo+j)
-				cfg.Fab.SampleInto(r, dev, l.Buf)
-				if !checker.Free(l.Buf) {
+				if !cfg.Fab.SampleFreeInto(r, dev, checker, l.Buf) {
 					return die{}
 				}
 				return die{keep(lo+j, r, l.Buf), true}

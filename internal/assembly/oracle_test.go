@@ -2,7 +2,10 @@ package assembly
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -73,5 +76,56 @@ func TestFabricateMatchesOracle(t *testing.T) {
 					spec.Qubits(), workers, len(got.Free), len(want.Free))
 			}
 		}
+	}
+}
+
+// stableSortBin is the bin order Fabricate produced with
+// sort.SliceStable on AvgErr over a bin in die order, kept as the
+// oracle for sortBin.
+func stableSortBin(bin []*Chiplet) {
+	sort.SliceStable(bin, func(i, j int) bool { return bin[i].AvgErr < bin[j].AvgErr })
+}
+
+func binIDs(bin []*Chiplet) []int {
+	ids := make([]int, len(bin))
+	for i, c := range bin {
+		ids[i] = c.ID
+	}
+	return ids
+}
+
+// TestSortBinMatchesStableSort: on real bins over several seeds and
+// specs, and on synthetic bins full of AvgErr ties, sortBin must give
+// the stable AvgErr sort's order of the bin in die order.
+func TestSortBinMatchesStableSort(t *testing.T) {
+	check := func(name string, bin []*Chiplet) {
+		t.Helper()
+		inDieOrder := slices.Clone(bin)
+		sort.Slice(inDieOrder, func(i, j int) bool { return inDieOrder[i].ID < inDieOrder[j].ID })
+		want := slices.Clone(inDieOrder)
+		stableSortBin(want)
+		got := slices.Clone(inDieOrder)
+		slices.Reverse(got) // sortBin must not lean on its input order
+		sortBin(got)
+		if !slices.Equal(binIDs(got), binIDs(want)) {
+			t.Errorf("%s: sortBin order %v, stable sort %v", name, binIDs(got), binIDs(want))
+		}
+	}
+	for _, spec := range []topo.ChipSpec{{DenseRows: 1, Width: 8}, {DenseRows: 2, Width: 8}, {DenseRows: 2, Width: 12}} {
+		for _, seed := range []int64{1, 7, 77, 2024} {
+			b := fabricate(t, spec, 200, testBatchConfig(seed))
+			if len(b.Free) < 2 {
+				t.Fatalf("%dq seed %d: %d survivors; pick a spec that yields", spec.Qubits(), seed, len(b.Free))
+			}
+			check(fmt.Sprintf("%dq/seed=%d", spec.Qubits(), seed), b.Free)
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		bin := make([]*Chiplet, 40)
+		for i := range bin {
+			bin[i] = &Chiplet{ID: 3 * i, AvgErr: float64(r.Intn(5)) / 100}
+		}
+		check(fmt.Sprintf("ties/%d", trial), bin)
 	}
 }

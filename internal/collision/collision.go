@@ -15,6 +15,13 @@
 //	Type 7: 2fi + a = fj + fk  +- 0.017 GHz   same triples
 //
 // where a is the transmon anharmonicity (~ -0.330 GHz).
+//
+// A Checker compiles a device's couplings and control pairs once, each
+// attached to the highest-indexed qubit it mentions. Free and
+// Violations walk that layout whole; FreeAt checks only the criteria
+// one qubit completes, so fab.Model.SampleFreeInto can refute a
+// device at its first collision instead of drawing every frequency
+// first.
 package collision
 
 import (
@@ -78,90 +85,158 @@ func (v Violation) String() string {
 	return fmt.Sprintf("type %d collision: q%d-q%d", v.Type, v.Control, v.Target)
 }
 
-// edgeInfo is a precompiled coupling with its control direction resolved.
-type edgeInfo struct {
-	control, target int
+// criterion is one compiled Table I check: a coupling (t2 < 0; types
+// 1-4 on control c and target t) or a control pair (types 5-7 on
+// control c and targets t, t2).
+type criterion struct {
+	c, t, t2 int32
+}
+
+// violation is the criterion's Violation skeleton, Type unset.
+func (k *criterion) violation() Violation {
+	return Violation{Control: int(k.c), Target: int(k.t), Target2: int(k.t2)}
 }
 
 // Checker is a collision evaluator compiled against one device topology.
 // Compiling once and reusing across Monte Carlo samples avoids rebuilding
 // edge and control-pair tables in the hot loop.
+//
+// Its one constraint layout attaches every coupling and every control
+// pair to the highest-indexed qubit it mentions (the rule the
+// sequential importance proposal uses): crit[stage[q]:stage[q+1]] are
+// the criteria completed at qubit q, couplings before control pairs,
+// each in device order. Free, FreeInto and Violations walk crit whole;
+// FreeAt walks one stage, which is what lets a sampler screen a device
+// while drawing it.
 type Checker struct {
 	params Params
-	edges  []edgeInfo
-	pairs  []topo.ControlPair
+	crit   []criterion
+	stage  []int32
+	edges  int
 }
 
 // NewChecker compiles a checker for device d under params p.
 func NewChecker(d *topo.Device, p Params) *Checker {
-	c := &Checker{params: p}
-	for _, e := range d.G.Edges() {
-		c.edges = append(c.edges, edgeInfo{
-			control: d.ControlOf(e.U, e.V),
-			target:  d.TargetOf(e.U, e.V),
-		})
+	edges := d.G.Edges()
+	pairs := d.ControlPairs()
+	c := &Checker{
+		params: p,
+		crit:   make([]criterion, len(edges)+len(pairs)),
+		stage:  make([]int32, d.N+1),
+		edges:  len(edges),
 	}
-	c.pairs = d.ControlPairs()
+	// Counting sort by stage: count each stage's criteria, turn the
+	// counts into stage ends, then fill back to front so every stage
+	// keeps couplings before pairs in source order and stage[q] ends on
+	// the stage's first criterion.
+	for _, e := range edges {
+		c.stage[max(e.U, e.V)]++
+	}
+	for _, cp := range pairs {
+		c.stage[max(cp.Control, cp.T1, cp.T2)]++
+	}
+	for q := 1; q <= d.N; q++ {
+		c.stage[q] += c.stage[q-1]
+	}
+	for i := len(pairs) - 1; i >= 0; i-- {
+		cp := pairs[i]
+		q := max(cp.Control, cp.T1, cp.T2)
+		c.stage[q]--
+		c.crit[c.stage[q]] = criterion{c: int32(cp.Control), t: int32(cp.T1), t2: int32(cp.T2)}
+	}
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		q := max(e.U, e.V)
+		c.stage[q]--
+		c.crit[c.stage[q]] = criterion{
+			c: int32(d.ControlOf(e.U, e.V)), t: int32(d.TargetOf(e.U, e.V)), t2: -1}
+	}
 	return c
 }
 
+// Params returns the thresholds the checker was compiled with.
+func (c *Checker) Params() Params { return c.params }
+
 // Edges returns the number of compiled couplings.
-func (c *Checker) Edges() int { return len(c.edges) }
+func (c *Checker) Edges() int { return c.edges }
+
+// Qubits returns the qubit count of the device the checker was compiled
+// for.
+func (c *Checker) Qubits() int { return len(c.stage) - 1 }
 
 // Free reports whether the frequency assignment f (GHz per qubit) is
 // collision-free, returning at the first violation. NaN or infinite
-// frequencies are never collision-free. This is the Monte Carlo hot
-// path; it allocates nothing.
+// frequencies are never collision-free. It allocates nothing.
 func (c *Checker) Free(f []float64) bool {
 	return c.FreeInto(nil, f)
 }
 
-// FreeInto is Free with an allocation-free diagnostic: when the
-// assignment is not collision-free it writes the first triggered
-// criterion into *v (callers reuse one Violation across trials) and
-// returns false. v may be nil to skip the diagnostic.
-func (c *Checker) FreeInto(v *Violation, f []float64) bool {
-	p := &c.params
-	for i := range c.edges {
-		e := &c.edges[i]
-		if m := edgeMask(f[e.control], f[e.target], p); m != 0 {
-			if v != nil {
-				*v = Violation{Type: maskType(m), Control: e.control, Target: e.target, Target2: -1}
-			}
-			return false
-		}
-	}
-	for i := range c.pairs {
-		cp := &c.pairs[i]
-		if m := pairMask(f[cp.Control], f[cp.T1], f[cp.T2], p); m != 0 {
-			if v != nil {
-				*v = Violation{Type: maskType(m), Control: cp.Control, Target: cp.T1, Target2: cp.T2}
-			}
-			return false
-		}
-	}
-	return true
+// FreeAt reports whether the criteria completed at qubit q — those
+// whose highest-indexed qubit is q — hold on f. It reads only f[:q+1],
+// so a sampler that draws qubits in index order can call it after each
+// draw and stop at the first false: the device is collision-free
+// exactly when FreeAt holds for every q.
+func (c *Checker) FreeAt(q int, f []float64) bool {
+	_, m := c.scan(c.stage[q], c.stage[q+1], f)
+	return m == 0
 }
 
-// Violations returns every triggered criterion for assignment f.
+// scan evaluates crit[lo:hi] on f in order and returns the index and
+// mask of the first criterion that triggers, or (hi, 0) when none does.
+// It is the one place a criterion is dispatched to its mask.
+func (c *Checker) scan(lo, hi int32, f []float64) (int32, uint8) {
+	p := &c.params
+	for i := lo; i < hi; i++ {
+		k := &c.crit[i]
+		var m uint8
+		if k.t2 < 0 {
+			m = edgeMask(f[k.c], f[k.t], p)
+		} else {
+			m = pairMask(f[k.c], f[k.t], f[k.t2], p)
+		}
+		if m != 0 {
+			return i, m
+		}
+	}
+	return hi, 0
+}
+
+// FreeInto is Free with an allocation-free diagnostic: when the
+// assignment is not collision-free it writes the first triggered
+// criterion, in Violations' order, into *v (callers reuse one Violation
+// across trials) and returns false. v may be nil to skip the
+// diagnostic.
+func (c *Checker) FreeInto(v *Violation, f []float64) bool {
+	i, m := c.scan(0, int32(len(c.crit)), f)
+	if m != 0 && v != nil {
+		*v = c.crit[i].violation()
+		v.Type = maskType(m)
+	}
+	return m == 0
+}
+
+// Violations returns every triggered criterion for assignment f, in
+// the checker's stage order: by the highest-indexed qubit the criterion
+// mentions; within one qubit, couplings (types 1-4) before control
+// pairs (types 5-7), each in device order; within one coupling or pair,
+// by type.
 func (c *Checker) Violations(f []float64) []Violation {
 	return c.ViolationsInto(nil, f)
 }
 
 // ViolationsInto appends every triggered criterion for assignment f to
-// dst and returns the extended slice. Hot loops pass dst[:0] to reuse
-// the backing array across trials instead of allocating per call.
+// dst, in Violations' order, and returns the extended slice. Hot loops
+// pass dst[:0] to reuse the backing array across trials instead of
+// allocating per call.
 func (c *Checker) ViolationsInto(dst []Violation, f []float64) []Violation {
-	p := &c.params
-	for i := range c.edges {
-		e := &c.edges[i]
-		m := edgeMask(f[e.control], f[e.target], p)
-		dst = appendMask(dst, m, Violation{Control: e.control, Target: e.target, Target2: -1})
-	}
-	for i := range c.pairs {
-		cp := &c.pairs[i]
-		m := pairMask(f[cp.Control], f[cp.T1], f[cp.T2], p)
-		dst = appendMask(dst, m, Violation{Control: cp.Control, Target: cp.T1, Target2: cp.T2})
+	n := int32(len(c.crit))
+	for lo := int32(0); lo < n; {
+		i, m := c.scan(lo, n, f)
+		if m == 0 {
+			break
+		}
+		dst = appendMask(dst, m, c.crit[i].violation())
+		lo = i + 1
 	}
 	return dst
 }

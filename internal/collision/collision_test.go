@@ -2,6 +2,7 @@ package collision
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -192,8 +193,8 @@ func TestCheckerSizes(t *testing.T) {
 	if ch.Edges() != d.G.M() {
 		t.Errorf("checker edges = %d, want %d", ch.Edges(), d.G.M())
 	}
-	if len(ch.pairs) != len(d.ControlPairs()) {
-		t.Errorf("checker pairs = %d, want %d", len(ch.pairs), len(d.ControlPairs()))
+	if pairs := len(ch.crit) - ch.Edges(); pairs != len(d.ControlPairs()) {
+		t.Errorf("checker pairs = %d, want %d", pairs, len(d.ControlPairs()))
 	}
 }
 
@@ -225,5 +226,102 @@ func TestThresholdMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// layoutDevices is the device set the layout tests walk: every catalog
+// chiplet and a multi-chip member of every lattice family.
+func layoutDevices(t *testing.T) []*topo.Device {
+	var out []*topo.Device
+	for _, cs := range topo.Catalog {
+		out = append(out, topo.MonolithicDevice(cs.Spec))
+	}
+	for _, fam := range topo.LatticeFamilies() {
+		spec := topo.LatticeSpec{Family: fam, Rows: 2, Cols: 2, ChipQubits: 20}
+		if fam == topo.FamilyStack3D {
+			spec = topo.LatticeSpec{Family: fam, Rows: 2, Cols: 2, ChipQubits: 9, Layers: 3}
+		}
+		d, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Canonical(), err)
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+// TestLayoutStagesByHighestQubit pins the checker's one constraint
+// layout: every coupling and every control pair of the device appears
+// exactly once, in the stage of the highest-indexed qubit it mentions,
+// with the coupling's control direction resolved; stages tile crit in
+// qubit order with couplings before pairs.
+func TestLayoutStagesByHighestQubit(t *testing.T) {
+	for _, d := range layoutDevices(t) {
+		ch := NewChecker(d, DefaultParams())
+		if ch.Qubits() != d.N || ch.stage[0] != 0 || int(ch.stage[d.N]) != len(ch.crit) {
+			t.Fatalf("%s: stage table %v does not span %d criteria over %d qubits",
+				d.Name, ch.stage, len(ch.crit), d.N)
+		}
+		want := map[criterion]int{}
+		for _, e := range d.G.Edges() {
+			want[criterion{c: int32(d.ControlOf(e.U, e.V)), t: int32(d.TargetOf(e.U, e.V)), t2: -1}]++
+		}
+		for _, cp := range d.ControlPairs() {
+			want[criterion{c: int32(cp.Control), t: int32(cp.T1), t2: int32(cp.T2)}]++
+		}
+		for q := 0; q < d.N; q++ {
+			if ch.stage[q] > ch.stage[q+1] {
+				t.Fatalf("%s: stage %d runs backwards: %d > %d", d.Name, q, ch.stage[q], ch.stage[q+1])
+			}
+			seenPair := false
+			for _, k := range ch.crit[ch.stage[q]:ch.stage[q+1]] {
+				if hi := max(k.c, k.t, k.t2); int(hi) != q {
+					t.Errorf("%s: %+v filed under qubit %d, its highest qubit is %d", d.Name, k, q, hi)
+				}
+				if k.t2 >= 0 {
+					seenPair = true
+				} else if seenPair {
+					t.Errorf("%s: coupling %+v after a control pair in stage %d", d.Name, k, q)
+				}
+				want[k]--
+			}
+		}
+		for k, n := range want {
+			if n != 0 {
+				t.Errorf("%s: criterion %+v appears %d times too few in the layout", d.Name, k, n)
+			}
+		}
+	}
+}
+
+// TestFreeAtComposesFree: walking the stages in qubit order reaches the
+// same verdict as Free, and each stage reads only the qubits placed so
+// far — poisoning f[q+1:] with NaN never changes FreeAt(q).
+func TestFreeAtComposesFree(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, d := range layoutDevices(t) {
+		ch := NewChecker(d, DefaultParams())
+		f := make([]float64, d.N)
+		poisoned := make([]float64, d.N)
+		for trial := 0; trial < 200; trial++ {
+			for q := range f {
+				f[q] = topo.DefaultFreqPlan.Target(d.Class[q]) + 0.02*r.NormFloat64()
+			}
+			staged := true
+			for q := 0; q < d.N; q++ {
+				copy(poisoned, f[:q+1])
+				for j := q + 1; j < d.N; j++ {
+					poisoned[j] = math.NaN()
+				}
+				at := ch.FreeAt(q, f)
+				if ch.FreeAt(q, poisoned) != at {
+					t.Fatalf("%s trial %d: FreeAt(%d) reads past qubit %d", d.Name, trial, q, q)
+				}
+				staged = staged && at
+			}
+			if staged != ch.Free(f) {
+				t.Fatalf("%s trial %d: staged walk says %v, Free says %v", d.Name, trial, staged, ch.Free(f))
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"chipletqc/internal/collision"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -68,6 +69,28 @@ func (m Model) SampleInto(r *rand.Rand, d *topo.Device, f []float64) {
 	for q := 0; q < d.N; q++ {
 		f[q] = stats.Normal(r, m.Plan.Target(d.Class[q]), m.Sigma)
 	}
+}
+
+// SampleFreeInto is SampleInto screened by c while it draws: f[q] is
+// drawn in qubit order through the same stats.Normal call, and the
+// draw stops with false at the first qubit whose completed criteria
+// (c.FreeAt) fail, leaving f past that qubit stale. Its draws are
+// therefore a prefix of SampleInto's, its verdict is c.Free's on
+// SampleInto's buffer, and on true both f and r's position equal
+// SampleInto's. It panics if len(f) != d.N or c was compiled for a
+// device of another size.
+func (m Model) SampleFreeInto(r *rand.Rand, d *topo.Device, c *collision.Checker, f []float64) bool {
+	if len(f) != d.N || c.Qubits() != d.N {
+		panic(fmt.Sprintf("fab: buffer length %d, checker qubits %d != device qubits %d",
+			len(f), c.Qubits(), d.N))
+	}
+	for q := 0; q < d.N; q++ {
+		f[q] = stats.Normal(r, m.Plan.Target(d.Class[q]), m.Sigma)
+		if !c.FreeAt(q, f) {
+			return false
+		}
+	}
+	return true
 }
 
 // SampleChip draws a realised frequency assignment for a bare chip (used

@@ -51,7 +51,7 @@ func benchDevice(b *testing.B, qubits int) (*topo.Device, fab.Model, collision.P
 
 func BenchmarkImportanceSampleInto(b *testing.B) {
 	d, m, p := benchDevice(b, 100)
-	est, err := New(Spec{Method: Importance}, d, m, p)
+	est, err := New(Spec{Method: Importance}, d, m, collision.NewChecker(d, p))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkImportanceSampleInto(b *testing.B) {
 
 func BenchmarkStratifiedSampleInto(b *testing.B) {
 	d, m, p := benchDevice(b, 100)
-	est, err := New(Spec{Method: Stratified, Allocation: Proportional}, d, m, p)
+	est, err := New(Spec{Method: Stratified, Allocation: Proportional}, d, m, collision.NewChecker(d, p))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkStratifiedSampleInto(b *testing.B) {
 
 func BenchmarkPlainSampleInto(b *testing.B) {
 	d, m, p := benchDevice(b, 100)
-	est, err := New(Spec{Method: Plain}, d, m, p)
+	est, err := New(Spec{Method: Plain}, d, m, collision.NewChecker(d, p))
 	if err != nil {
 		b.Fatal(err)
 	}

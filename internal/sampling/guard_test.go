@@ -41,7 +41,7 @@ func overDenseStar(leaves int) *topo.Device {
 func TestImportanceBandLimit(t *testing.T) {
 	const leaves = 12
 	d := overDenseStar(leaves)
-	_, err := New(Spec{Method: Importance}, d, fab.DefaultModel(), collision.DefaultParams())
+	_, err := New(Spec{Method: Importance}, d, fab.DefaultModel(), collision.NewChecker(d, collision.DefaultParams()))
 	if err == nil {
 		t.Fatal("over-dense device accepted; want *BandLimitError")
 	}
@@ -62,7 +62,7 @@ func TestImportanceBandLimit(t *testing.T) {
 	// A hub inside the limit must construct and sample cleanly: the
 	// guard must not reject devices the scratch can actually serve.
 	ok := overDenseStar(8) // 4·8 + 28 = 60 ≤ 64
-	est, err := New(Spec{Method: Importance}, ok, fab.DefaultModel(), collision.DefaultParams())
+	est, err := New(Spec{Method: Importance}, ok, fab.DefaultModel(), collision.NewChecker(ok, collision.DefaultParams()))
 	if err != nil {
 		t.Fatalf("in-limit star rejected: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestSampleIntoAllocationFree(t *testing.T) {
 	m := fab.DefaultModel()
 	p := collision.DefaultParams()
 	for _, spec := range []Spec{{Method: Plain}, {Method: Stratified}, {Method: Importance}} {
-		est, err := New(spec, d, m, p)
+		est, err := New(spec, d, m, collision.NewChecker(d, p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,7 @@ func TestSequentialSamplesAreCollisionFree(t *testing.T) {
 	pPlain := float64(succ) / nPlain
 	sePlain := math.Sqrt(pPlain * (1 - pPlain) / nPlain)
 
-	est, err := New(Spec{Method: Importance}, d, m, params)
+	est, err := New(Spec{Method: Importance}, d, m, collision.NewChecker(d, params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSequentialSamplesAreCollisionFree(t *testing.T) {
 func TestImportanceDeadEndIsZeroWeightFailure(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(12))
 	m := fab.DefaultModel()
-	est, err := New(Spec{Method: Importance}, d, m, collision.DefaultParams())
+	est, err := New(Spec{Method: Importance}, d, m, collision.NewChecker(d, collision.DefaultParams()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestImportanceDeadEndIsZeroWeightFailure(t *testing.T) {
 func TestWeightedHalfWidthGuards(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(12))
 	m := fab.DefaultModel()
-	est, err := New(Spec{Method: Importance, MinESS: 10}, d, m, collision.DefaultParams())
+	est, err := New(Spec{Method: Importance, MinESS: 10}, d, m, collision.NewChecker(d, collision.DefaultParams()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func FuzzEstimatorWeightsFinite(f *testing.F) {
 		params := scaledThresholds(scale)
 		checker := collision.NewChecker(d, params)
 		for _, spec := range []Spec{{Method: Importance}, {Method: Stratified}} {
-			est, err := New(spec, d, m, params)
+			est, err := New(spec, d, m, collision.NewChecker(d, params))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,13 @@
 // trial is reweighted by the exact Gaussian likelihood ratio — the
 // product of the per-qubit allowed masses).
 //
+// The plain estimator screens each trial while drawing it: it draws
+// qubit frequencies in index order through the engine's checker and
+// returns a −Inf weight at the first completed Table I collision, so
+// its per-trial cost falls with the yield. The stratified estimator
+// needs a trial's whole draw before it can normalise, so it fills the
+// buffer and leaves the check to the engine.
+//
 // The variance-reduction estimators exist for deep-low-yield scenarios:
 // once the collision-free probability p falls toward 10^-3 and below,
 // the plain estimator needs ~z²/(rel²·p) trials for a tight *relative*
@@ -253,7 +260,9 @@ type Estimator interface {
 	PlanBlock(lo, hi int)
 	// SampleInto fills buf (device-qubit length) with trial i's realised
 	// frequencies from r, which is positioned on trial i's private
-	// stream, and returns the trial's log likelihood ratio.
+	// stream, and returns the trial's log likelihood ratio. −Inf marks
+	// a trial already known to fail (a dead end, or a collision found
+	// while drawing); buf may then be only partly filled.
 	SampleInto(r *rand.Rand, i int, buf []float64) float64
 	// Observe folds trial i's outcome; called in index order.
 	Observe(i int, ok bool, logw float64)
@@ -266,20 +275,20 @@ type Estimator interface {
 }
 
 // New constructs the estimator a spec selects, bound to one device,
-// fabrication model, and set of collision thresholds. The zero spec
-// yields the plain estimator. The thresholds parameterise the
-// importance estimator's conditioned proposal and MUST match the
-// checker the engine evaluates trials with — a mismatch loses the
-// free-by-construction property (the estimate stays conservative, the
-// savings vanish).
-func New(spec Spec, d *topo.Device, m fab.Model, p collision.Params) (Estimator, error) {
+// fabrication model, and collision checker compiled for that device.
+// The zero spec yields the plain estimator. The plain estimator screens
+// each draw with ch; the importance estimator builds its conditioned
+// proposal from ch's thresholds. Passing the engine's own checker keeps
+// both free by construction under exactly the criteria the engine
+// audits with.
+func New(spec Spec, d *topo.Device, m fab.Model, ch *collision.Checker) (Estimator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	c := spec.Canonical()
 	switch c.Method {
 	case "", Plain:
-		return newPlain(d, m), nil
+		return newPlain(d, m, ch), nil
 	case Stratified:
 		if m.Sigma <= 0 {
 			return nil, fmt.Errorf("sampling: stratified sampling needs a positive fabrication sigma (got %g)", m.Sigma)
@@ -295,7 +304,7 @@ func New(spec Spec, d *topo.Device, m fab.Model, p collision.Params) (Estimator,
 		// newImportance validates the per-qubit band counts against the
 		// sequential proposal's scratch capacity and returns a typed
 		// *BandLimitError for over-dense devices.
-		return newImportance(c, d, m, p)
+		return newImportance(c, d, m, ch.Params())
 	}
 	return nil, fmt.Errorf("sampling: unknown method %q", c.Method)
 }

@@ -118,7 +118,7 @@ func TestNewSelectsEstimator(t *testing.T) {
 		{Method: Stratified}: Stratified,
 		{Method: Importance}: Importance,
 	} {
-		est, err := New(spec, d, m, p)
+		est, err := New(spec, d, m, collision.NewChecker(d, p))
 		if err != nil {
 			t.Fatalf("New(%+v): %v", spec, err)
 		}
@@ -143,7 +143,7 @@ func TestNewRejectsUnusableConfigs(t *testing.T) {
 		{"importance without noise", Spec{Method: Importance}, deterministic},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.spec, d, tc.m, p); err == nil {
+		if _, err := New(tc.spec, d, tc.m, collision.NewChecker(d, p)); err == nil {
 			t.Errorf("%s: New succeeded, want error", tc.name)
 		}
 	}

@@ -38,3 +38,21 @@ func BenchmarkSimulateSerialVsParallel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSimulateLowYield measures the plain estimator where almost
+// every trial collides: a 500-qubit paper device at laser-tuned
+// precision, whose yield is about 0. Each trial's draws stop at its
+// first Table I collision, so this per-trial cost sits well below
+// 500 draws plus a full check.
+func BenchmarkSimulateLowYield(b *testing.B) {
+	d := topo.MonolithicDevice(topo.MonolithicSpec(500))
+	cfg := testConfig()
+	cfg.Batch = 2000
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	b.ResetTimer()
+	var res Result
+	for i := 0; i < b.N; i++ {
+		res = simulate(b, d, cfg)
+	}
+	b.ReportMetric(res.Fraction(), "yield@500q")
+}

@@ -4,6 +4,13 @@
 // the Table I collision criteria, and the collision-free fraction is the
 // yield.
 //
+// The engine compiles one collision.Checker per simulation and hands it
+// to the estimator. The plain estimator screens each trial with it
+// while drawing (fab.Model.SampleFreeInto), so a trial stops at its
+// first collision and a plain trial's cost falls with the device's
+// yield; the verdicts, and so every result, are exactly those of
+// drawing all frequencies and then checking them.
+//
 // Simulations are deterministic: the result for a given (device, config)
 // depends only on cfg.Seed, regardless of worker count, because each
 // batch element derives its own RNG stream from the seed and its index.
@@ -113,17 +120,18 @@ func (r Result) String() string {
 
 // freeByConstruction is implemented by estimators whose every
 // finite-weight sample satisfies the collision criteria by construction
-// (the sequential conditioned proposal), letting the engine downgrade
-// its independent per-trial collision check to a sampled audit.
+// (the sequential conditioned proposal, and plain counting, which
+// screens each trial while drawing it), letting the engine downgrade
+// its full per-trial collision check to a sampled audit.
 type freeByConstruction interface{ FreeByConstruction() bool }
 
 // auditEvery is the sampled-audit period for construction-free
-// estimators: every auditEvery-th trial still runs the engine's
-// independent collision checker against the sampled frequencies, so a
-// proposal construction bug is caught within one checkpoint block while
-// the other trials skip the check — the audit tax that used to double
-// the importance path's per-trial cost. Test builds and -race builds
-// audit every trial.
+// estimators: every auditEvery-th finite-weight trial still runs the
+// engine's full Checker.Free against the sampled frequencies, so a
+// proposal or screening bug is caught within one checkpoint block
+// while the other trials skip the check — the audit tax that used to
+// double the importance path's per-trial cost. Test builds and -race
+// builds audit every trial.
 const auditEvery = 64
 
 // auditPeriod resolves the audit period for one estimator: 1 (check
@@ -161,11 +169,11 @@ func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
 	if max <= 0 {
 		return Result{Device: d.Name, Qubits: d.N, CIHi: 1}, ctx.Err()
 	}
-	est, err := sampling.New(cfg.Sampling, d, cfg.Model, cfg.Params)
+	checker := collision.NewChecker(d, cfg.Params)
+	est, err := sampling.New(cfg.Sampling, d, cfg.Model, checker)
 	if err != nil {
 		return Result{}, err
 	}
-	checker := collision.NewChecker(d, cfg.Params)
 	audit := auditPeriod(est)
 	type outcome struct {
 		ok   bool
