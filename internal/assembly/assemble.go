@@ -3,7 +3,6 @@ package assembly
 import (
 	"context"
 	"math/rand"
-	"sort"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/graph"
@@ -29,6 +28,11 @@ type AssembleConfig struct {
 	Params collision.Params
 	// Seed drives placement shuffles and link error sampling.
 	Seed int64
+	// Want stops assembly once that many modules are built; 0 builds
+	// every module the batch allows. Assembly draws from one sequential
+	// stream, so a run stopped at Want modules returns exactly the
+	// first Want modules of the full run.
+	Want int
 }
 
 // AssembledMCM is one complete, collision-free multi-chip module.
@@ -38,6 +42,9 @@ type AssembledMCM struct {
 	Freq    []float64  // realised frequency per global qubit
 	// LinkErr maps each inter-chip coupling to its sampled infidelity.
 	LinkErr map[graph.Edge]float64
+	// links lists LinkErr's keys in sorted (U, V) order. One slice is
+	// shared by every module of an Assemble run and never written.
+	links []graph.Edge
 	// chipErrSum and couplings cache the E_avg computation.
 	chipErrSum float64
 	nCouplings int
@@ -52,26 +59,10 @@ func (m *AssembledMCM) EAvg() float64 {
 		return 0
 	}
 	sum := m.chipErrSum
-	for _, e := range m.linkEdges() {
+	for _, e := range m.links {
 		sum += m.LinkErr[e]
 	}
 	return sum / float64(m.nCouplings)
-}
-
-// linkEdges returns the module's inter-chip couplings in deterministic
-// sorted order.
-func (m *AssembledMCM) linkEdges() []graph.Edge {
-	edges := make([]graph.Edge, 0, len(m.LinkErr))
-	for e := range m.LinkErr {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	return edges
 }
 
 // Errors returns the full per-coupling error assignment of the module,
@@ -112,15 +103,35 @@ type Stats struct {
 // lowest-error chiplets first; if the stitched module shows an
 // inter-chiplet collision, shuffle placement up to MaxReshuffles times;
 // on timeout, set the best chiplet of the failed subset aside and
-// continue with the next subset. The context is checked between
-// candidate subsets; a cancelled ctx returns ctx.Err() and discards the
-// partial assembly. An invalid grid returns mcm.Build's error.
+// continue with the next subset. With cfg.Want > 0 it stops after that
+// many modules; the Stats of such a run cover only the modules it
+// built, and every unvisited chiplet counts as Leftover. The context
+// is checked between candidate subsets; a cancelled ctx returns
+// ctx.Err() and discards the partial assembly. An invalid grid returns
+// mcm.Build's error.
+//
+// A placement is collision-free when every chip passes its own Table I
+// criteria and the seam criteria hold. The chips of a grid are copies
+// of one design, so a chiplet's own criteria do not depend on its
+// slot: each candidate subset checks them once (or not at all when
+// Fabricate screened the batch under cfg.Params), and each placement
+// attempt re-checks only the seam (collision.NewSeamChecker). A subset
+// whose members fail their own criteria still draws all of its
+// shuffles, so the RNG stream, and with it every module, is the one a
+// full check per attempt gives.
 func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) ([]*AssembledMCM, Stats, error) {
 	dev, err := mcm.Build(grid)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	checker := collision.NewChecker(dev, cfg.Params)
+	// A die Fabricate screened under these same thresholds passes its
+	// own criteria by construction; any other die is checked.
+	chipFree := func(*Chiplet) bool { return true }
+	if b.screen == nil || *b.screen != cfg.Params {
+		checker := collision.NewChecker(topo.MonolithicDevice(b.Spec), cfg.Params)
+		chipFree = func(c *Chiplet) bool { return checker.Free(c.Freq) }
+	}
+	seam := collision.NewSeamChecker(dev, cfg.Params)
 	chips := grid.Chips()
 	nPer := b.Chip.N
 	r := rand.New(rand.NewSource(cfg.Seed))
@@ -137,17 +148,15 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 	var leftover []*Chiplet
 	freq := make([]float64, dev.N)
 
-	compose := func(members []*Chiplet) {
-		for c, m := range members {
-			copy(freq[c*nPer:(c+1)*nPer], m.Freq)
-		}
-	}
-
-	for len(bin) >= chips {
+	for len(bin) >= chips && (cfg.Want <= 0 || len(out) < cfg.Want) {
 		if err := ctx.Err(); err != nil {
 			return nil, Stats{}, err
 		}
 		subset := append([]*Chiplet(nil), bin[:chips]...)
+		chipsFree := true
+		for _, m := range subset {
+			chipsFree = chipsFree && chipFree(m)
+		}
 		placed := false
 		for attempt := 0; attempt <= cfg.MaxReshuffles; attempt++ {
 			if attempt > 0 {
@@ -155,8 +164,13 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 					subset[i], subset[j] = subset[j], subset[i]
 				})
 			}
-			compose(subset)
-			if checker.Free(freq) {
+			if !chipsFree {
+				continue
+			}
+			for c, m := range subset {
+				copy(freq[c*nPer:(c+1)*nPer], m.Freq)
+			}
+			if seam.Free(freq) {
 				placed = true
 				break
 			}
@@ -173,6 +187,7 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 			Members:    subset,
 			Freq:       append([]float64(nil), freq...),
 			LinkErr:    make(map[graph.Edge]float64, len(linkEdges)),
+			links:      linkEdges,
 			nCouplings: dev.G.M(),
 		}
 		for _, member := range subset {
@@ -211,7 +226,7 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 // Links resample in sorted edge order so the RNG stream is consumed
 // deterministically (map iteration order is not).
 func (m *AssembledMCM) ResampleLinks(r *rand.Rand, link noise.LinkModel) {
-	for _, e := range m.linkEdges() {
+	for _, e := range m.links {
 		m.LinkErr[e] = link.Sample(r)
 	}
 }

@@ -33,6 +33,9 @@ type Batch struct {
 	Chip *topo.Chip
 	Size int        // dies fabricated
 	Free []*Chiplet // collision-free bin, ascending AvgErr, ties by ID
+	// screen is the Table I thresholds Fabricate screened Free under,
+	// or nil for a batch built by hand.
+	screen *collision.Params
 }
 
 // Yield returns the collision-free chiplet yield of the batch.
@@ -81,7 +84,8 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 		return nil, err
 	}
 	sortBin(free)
-	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free}, nil
+	screen := cfg.Params
+	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free, screen: &screen}, nil
 }
 
 // sortBin orders a KGD bin best first: ascending AvgErr, ties by die ID.

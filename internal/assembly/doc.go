@@ -14,7 +14,12 @@
 // are error-sorted so the best dies land first, candidate placements
 // that create cross-chip collisions are reshuffled up to the assembly
 // policy's budget, and every inter-chip link draws its infidelity from
-// the scenario's link model after a bump-bond survival roll.
+// the scenario's link model after a bump-bond survival roll. A
+// reshuffle moves whole dies between identical slots, so each attempt
+// re-checks only the seam criteria (collision.NewSeamChecker); a die's
+// own criteria are checked once per candidate subset, and not at all
+// when Fabricate already screened it under the same thresholds.
+// AssembleConfig.Want stops the run at the modules a caller keeps.
 //
 // Both stages are ctx-first and fan out on internal/runner's
 // deterministic worker pool: a trial's draws depend only on (seed,

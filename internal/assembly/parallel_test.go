@@ -80,3 +80,18 @@ func BenchmarkFabricate(b *testing.B) {
 		fabricate(b, spec, 1000, cfg)
 	}
 }
+
+// BenchmarkAssemble stitches one wafer-scaled batch of 20-qubit
+// chiplets (the quick figure scale, 500 dies per chip slot) into every
+// 2x2 module it allows. Fabrication runs once, outside the timer. Run
+// with -benchmem.
+func BenchmarkAssemble(b *testing.B) {
+	spec := topo.ChipSpec{DenseRows: 2, Width: 8}
+	grid := mcm.Grid{Rows: 2, Cols: 2, Spec: spec}
+	batch := fabricate(b, spec, 500*grid.Chips(), testBatchConfig(1))
+	cfg := testAssembleConfig(2)
+	b.ReportAllocs()
+	for b.Loop() {
+		assemble(b, batch, grid, cfg)
+	}
+}

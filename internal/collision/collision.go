@@ -21,14 +21,19 @@
 // Violations walk that layout whole; FreeAt checks only the criteria
 // one qubit completes, so fab.Model.SampleFreeInto can refute a
 // device at its first collision instead of drawing every frequency
-// first.
+// first. NewSeamChecker compiles the same layout over the seam
+// criteria alone — those whose qubits span more than one chip — which
+// is all that can change when assembly reshuffles known-good dies
+// across an MCM's slots.
 package collision
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
+	"chipletqc/internal/graph"
 	"chipletqc/internal/topo"
 )
 
@@ -117,8 +122,28 @@ type Checker struct {
 
 // NewChecker compiles a checker for device d under params p.
 func NewChecker(d *topo.Device, p Params) *Checker {
-	edges := d.G.Edges()
-	pairs := d.ControlPairs()
+	return compile(d, p, d.G.Edges(), d.ControlPairs())
+}
+
+// NewSeamChecker compiles only the seam criteria of device d: the
+// couplings and control pairs whose qubits lie on more than one chip
+// (d.ChipOf). Every other criterion of NewChecker(d, p) involves one
+// chip alone, so once each placed chip is known to pass its own
+// criteria, the seam checker alone decides whether a placement of those
+// chips is collision-free. Its layout, stages and orders are
+// NewChecker's, restricted to the seam.
+func NewSeamChecker(d *topo.Device, p Params) *Checker {
+	on := d.ChipOf
+	edges := slices.DeleteFunc(d.G.Edges(), func(e graph.Edge) bool { return on[e.U] == on[e.V] })
+	pairs := slices.DeleteFunc(d.ControlPairs(), func(cp topo.ControlPair) bool {
+		return on[cp.Control] == on[cp.T1] && on[cp.Control] == on[cp.T2]
+	})
+	return compile(d, p, edges, pairs)
+}
+
+// compile lays out the given couplings and control pairs of d, each in
+// device order, as a Checker.
+func compile(d *topo.Device, p Params, edges []graph.Edge, pairs []topo.ControlPair) *Checker {
 	c := &Checker{
 		params: p,
 		crit:   make([]criterion, len(edges)+len(pairs)),

@@ -3,9 +3,11 @@ package collision
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"chipletqc/internal/mcm"
 	"chipletqc/internal/topo"
 )
 
@@ -229,6 +231,19 @@ func TestThresholdMonotonicity(t *testing.T) {
 	}
 }
 
+// lattices is a 2x2 member of every lattice family.
+func lattices() []topo.LatticeSpec {
+	var out []topo.LatticeSpec
+	for _, fam := range topo.LatticeFamilies() {
+		spec := topo.LatticeSpec{Family: fam, Rows: 2, Cols: 2, ChipQubits: 20}
+		if fam == topo.FamilyStack3D {
+			spec = topo.LatticeSpec{Family: fam, Rows: 2, Cols: 2, ChipQubits: 9, Layers: 3}
+		}
+		out = append(out, spec)
+	}
+	return out
+}
+
 // layoutDevices is the device set the layout tests walk: every catalog
 // chiplet and a multi-chip member of every lattice family.
 func layoutDevices(t *testing.T) []*topo.Device {
@@ -236,11 +251,7 @@ func layoutDevices(t *testing.T) []*topo.Device {
 	for _, cs := range topo.Catalog {
 		out = append(out, topo.MonolithicDevice(cs.Spec))
 	}
-	for _, fam := range topo.LatticeFamilies() {
-		spec := topo.LatticeSpec{Family: fam, Rows: 2, Cols: 2, ChipQubits: 20}
-		if fam == topo.FamilyStack3D {
-			spec = topo.LatticeSpec{Family: fam, Rows: 2, Cols: 2, ChipQubits: 9, Layers: 3}
-		}
+	for _, spec := range lattices() {
 		d, err := spec.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Canonical(), err)
@@ -321,6 +332,115 @@ func TestFreeAtComposesFree(t *testing.T) {
 			}
 			if staged != ch.Free(f) {
 				t.Fatalf("%s trial %d: staged walk says %v, Free says %v", d.Name, trial, staged, ch.Free(f))
+			}
+		}
+	}
+}
+
+// seamDevice pairs a multi-chip device with the chip design each of its
+// slots copies, or nil when its chips are not contiguous copies of one
+// design (the planar lattice families).
+type seamDevice struct {
+	d    *topo.Device
+	chip *topo.Device
+}
+
+// seamDevices is every enumerated MCM grid up to 500 qubits plus a 2x2
+// member of every lattice family.
+func seamDevices(t *testing.T) []seamDevice {
+	var out []seamDevice
+	for _, g := range mcm.EnumerateGrids(500) {
+		out = append(out, seamDevice{mcm.MustBuild(g), topo.MonolithicDevice(g.Spec)})
+	}
+	for _, spec := range lattices() {
+		d, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Canonical(), err)
+		}
+		var chip *topo.Device
+		if spec.Family == topo.FamilyHeavyHex {
+			cs, err := spec.HeavyHexChip()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chip = topo.MonolithicDevice(cs)
+		}
+		out = append(out, seamDevice{d, chip})
+	}
+	return out
+}
+
+// spansChips reports whether criterion k mentions qubits of more than
+// one chip.
+func spansChips(d *topo.Device, k criterion) bool {
+	on := d.ChipOf
+	return on[k.c] != on[k.t] || (k.t2 >= 0 && on[k.c] != on[k.t2])
+}
+
+// TestSeamCheckerPartitionsCriteria: the seam checker holds exactly the
+// device's chip-spanning criteria, in the full checker's stages and
+// order, and every other criterion belongs to exactly one chip. Where
+// the device tiles one chip design (every MCM grid, which is what
+// assembly stitches), chip c's criteria are the design's own, shifted
+// by c*nPer — the same in every slot, so a die's own criteria do not
+// depend on where it is placed.
+func TestSeamCheckerPartitionsCriteria(t *testing.T) {
+	for _, sd := range seamDevices(t) {
+		d := sd.d
+		full, seam := NewChecker(d, DefaultParams()), NewSeamChecker(d, DefaultParams())
+		if seam.Qubits() != d.N || seam.Edges() != len(d.Link) {
+			t.Fatalf("%s: seam checker spans %d qubits and %d couplings, want %d and %d",
+				d.Name, seam.Qubits(), seam.Edges(), d.N, len(d.Link))
+		}
+		for q := 0; q < d.N; q++ {
+			var want []criterion
+			for _, k := range full.crit[full.stage[q]:full.stage[q+1]] {
+				if spansChips(d, k) {
+					want = append(want, k)
+				}
+			}
+			if got := seam.crit[seam.stage[q]:seam.stage[q+1]]; !slices.Equal(got, want) {
+				t.Fatalf("%s: seam stage %d is %v, want the full stage's chip-spanning %v", d.Name, q, got, want)
+			}
+		}
+
+		// Types 5-7 are symmetric in a pair's two targets, and the chip
+		// design and the tiled device list a control's neighbours in
+		// different orders, so pairs are counted with ordered targets.
+		count := map[criterion]int{}
+		tally := func(k criterion, n int) {
+			if k.t2 >= 0 && k.t2 < k.t {
+				k.t, k.t2 = k.t2, k.t
+			}
+			count[k] += n
+		}
+		for _, k := range full.crit {
+			tally(k, 1)
+		}
+		for _, k := range seam.crit {
+			tally(k, -1)
+		}
+		if sd.chip == nil {
+			for _, k := range full.crit {
+				if !spansChips(d, k) {
+					tally(k, -1)
+				}
+			}
+		} else {
+			nPer, own := int32(sd.chip.N), NewChecker(sd.chip, DefaultParams()).crit
+			for c := int32(0); c < int32(d.Chips); c++ {
+				for _, k := range own {
+					k.c, k.t = k.c+c*nPer, k.t+c*nPer
+					if k.t2 >= 0 {
+						k.t2 += c * nPer
+					}
+					tally(k, -1)
+				}
+			}
+		}
+		for k, n := range count {
+			if n != 0 {
+				t.Errorf("%s: criterion %+v is covered %d times by the seam and the chips, want once", d.Name, k, 1-n)
 			}
 		}
 	}

@@ -273,7 +273,10 @@ func (s *Server) Drain() {
 // /v1/shutdown arrives, or the listener fails, then drains jobs and
 // shuts the HTTP server down. Returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	srv := &http.Server{Handler: s.mux}
+	// No read or write deadline on whole requests: watch streams run
+	// for a job's lifetime. Only header reads and idle keep-alives are
+	// bounded.
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
 	s.logf("daemon: serving on %s (%d workers, %d slots)", l.Addr(), s.workers, s.slots)
@@ -337,11 +340,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxPlanBytes caps a submission's JSON body; a larger one is refused
+// with 413.
+const maxPlanBytes = 4 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub Submission
-	dec := json.NewDecoder(io.LimitReader(r.Body, 4<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPlanBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sub); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "campaign plan exceeds the %d-byte limit", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "invalid campaign plan: %v", err)
 		return
 	}

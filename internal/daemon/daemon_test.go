@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -400,6 +401,30 @@ func TestHTTPErrors(t *testing.T) {
 
 	if _, ok, err := c.Artifact(context.Background(), "daemon-fast-a", "000000000000"); err != nil || ok {
 		t.Errorf("missing artifact: ok=%t err=%v, want clean miss", ok, err)
+	}
+}
+
+// TestSubmitTooLarge: a plan body one byte over the 4 MiB cap is
+// refused with 413 and a message naming the limit, not read whole and
+// reported as malformed JSON.
+func TestSubmitTooLarge(t *testing.T) {
+	c, _ := newTestDaemon(t, daemon.Options{})
+	base, hc := clientBase(t, c)
+
+	const limit = 4 << 20
+	head, tail := `{"plan":{"experiments":["`, `"]}}`
+	body := head + strings.Repeat("a", limit+1-len(head)-len(tail)) + tail
+	resp, err := hc.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("decoding the error body: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, "4194304-byte limit") {
+		t.Errorf("oversized plan: HTTP %d %q, want 413 naming the 4194304-byte limit", resp.StatusCode, e.Error)
 	}
 }
 

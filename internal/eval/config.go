@@ -223,14 +223,17 @@ func (c *Config) yieldConfig(batch int, seed int64) yield.Config {
 // the monolithic batch's wafer area — a qm-qubit monolithic die's area
 // hosts qm/qc chiplets, so ChipletBatch monolithic dies correspond to
 // ChipletBatch*chips chiplet dies — and assembles them under the given
-// link model. Modules come best-first, since the bin is sorted.
-func (c *Config) waferScaledMCMs(ctx context.Context, g mcm.Grid, fabOffset, assembleOffset int64, link noise.LinkModel) ([]*assembly.AssembledMCM, error) {
+// link model. Modules come best-first, since the bin is sorted. want
+// stops assembly after that many modules (0: all of them); the first
+// want modules are the same either way.
+func (c *Config) waferScaledMCMs(ctx context.Context, g mcm.Grid, fabOffset, assembleOffset int64, link noise.LinkModel, want int) ([]*assembly.AssembledMCM, error) {
 	b, err := assembly.Fabricate(ctx, g.Spec, c.ChipletBatch*g.Chips(), c.batchConfig(fabOffset))
 	if err != nil {
 		return nil, err
 	}
 	acfg := c.assembleConfig(assembleOffset)
 	acfg.Link = link
+	acfg.Want = want
 	mods, _, err := assembly.Assemble(ctx, b, g, acfg)
 	return mods, err
 }

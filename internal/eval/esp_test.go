@@ -109,7 +109,7 @@ func TestLogFidelityMatchesOracle(t *testing.T) {
 func BenchmarkLogFidelity(b *testing.B) {
 	cfg := QuickConfig(1)
 	grid := mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}}
-	mods, err := cfg.waferScaledMCMs(context.Background(), grid, seedOffFig10Fabricate, seedOffFig10Assemble, cfg.linkModel())
+	mods, err := cfg.waferScaledMCMs(context.Background(), grid, seedOffFig10Fabricate, seedOffFig10Assemble, cfg.linkModel(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

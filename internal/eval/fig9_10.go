@@ -57,10 +57,6 @@ func Fig9(ctx context.Context, cfg Config) (map[string][]Fig9Cell, error) {
 	// mutates the selected modules in ratio order.
 	perGrid, err := fanOut(ctx, cfg, "fig9", len(grids), func(icfg Config, gi int) ([]Fig9Cell, error) {
 		g := grids[gi]
-		mods, err := icfg.waferScaledMCMs(ctx, g, seedOffFig9Fabricate+int64(gi), seedOffFig9Assemble+int64(gi), icfg.scn().Link)
-		if err != nil {
-			return nil, err
-		}
 		monoDev := topo.MonolithicDevice(g.MonolithicCounterpart())
 		bc := icfg.batchConfig(seedOffFig9Mono + int64(gi))
 		monoEavgs, err := assembly.Survivors(ctx, monoDev, icfg.MonoBatch, icfg.MonoBatch, bc, eavg(monoDev, bc.Det))
@@ -71,10 +67,11 @@ func Fig9(ctx context.Context, cfg Config) (map[string][]Fig9Cell, error) {
 
 		// Equal-count population: the top-K MCMs (the bin is sorted, so
 		// assembly order is best-first) against the K monolithic
-		// survivors. With zero monolithic yield every MCM stands alone.
-		sel := mods
-		if k := len(monoEavgs); k > 0 && k < len(sel) {
-			sel = sel[:k]
+		// survivors, so assembly stops at K. With zero monolithic yield
+		// every MCM stands alone (want 0 assembles them all).
+		sel, err := icfg.waferScaledMCMs(ctx, g, seedOffFig9Fabricate+int64(gi), seedOffFig9Assemble+int64(gi), icfg.scn().Link, len(monoEavgs))
+		if err != nil {
+			return nil, err
 		}
 
 		cells := make([]Fig9Cell, 0, len(Fig9Ratios))
@@ -158,12 +155,9 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int) (
 	var out []Fig10Point
 	// MCM side: the best `samples` wafer-scaled modules (equal-count
 	// selection, matching the Fig. 9 comparison semantics).
-	mods, err := cfg.waferScaledMCMs(ctx, g, seedOffFig10Fabricate+int64(gi), seedOffFig10Assemble+int64(gi), cfg.linkModel())
+	mods, err := cfg.waferScaledMCMs(ctx, g, seedOffFig10Fabricate+int64(gi), seedOffFig10Assemble+int64(gi), cfg.linkModel(), samples)
 	if err != nil {
 		return nil, err
-	}
-	if len(mods) > samples {
-		mods = mods[:samples]
 	}
 	mcmDev := mcm.MustBuild(g)
 	chip := topo.BuildChip(g.Spec)
