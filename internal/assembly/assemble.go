@@ -113,8 +113,7 @@ type Stats struct {
 // A placement is collision-free when every chip passes its own Table I
 // criteria and the seam criteria hold. The chips of a grid are copies
 // of one design, so a chiplet's own criteria do not depend on its
-// slot: each candidate subset checks them once (or not at all when
-// Fabricate screened the batch under cfg.Params), and each placement
+// slot: each candidate subset checks them once, and each placement
 // attempt re-checks only the seam (collision.NewSeamChecker). A subset
 // whose members fail their own criteria still draws all of its
 // shuffles, so the RNG stream, and with it every module, is the one a
@@ -124,13 +123,7 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	// A die Fabricate screened under these same thresholds passes its
-	// own criteria by construction; any other die is checked.
-	chipFree := func(*Chiplet) bool { return true }
-	if b.screen == nil || *b.screen != cfg.Params {
-		checker := collision.NewChecker(topo.MonolithicDevice(b.Spec), cfg.Params)
-		chipFree = func(c *Chiplet) bool { return checker.Free(c.Freq) }
-	}
+	own := collision.NewChecker(topo.MonolithicDevice(b.Spec), cfg.Params)
 	seam := collision.NewSeamChecker(dev, cfg.Params)
 	chips := grid.Chips()
 	nPer := b.Chip.N
@@ -155,7 +148,10 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 		subset := append([]*Chiplet(nil), bin[:chips]...)
 		chipsFree := true
 		for _, m := range subset {
-			chipsFree = chipsFree && chipFree(m)
+			if !own.Free(m.Freq) {
+				chipsFree = false
+				break
+			}
 		}
 		placed := false
 		for attempt := 0; attempt <= cfg.MaxReshuffles; attempt++ {

@@ -33,9 +33,6 @@ type Batch struct {
 	Chip *topo.Chip
 	Size int        // dies fabricated
 	Free []*Chiplet // collision-free bin, ascending AvgErr, ties by ID
-	// screen is the Table I thresholds Fabricate screened Free under,
-	// or nil for a batch built by hand.
-	screen *collision.Params
 }
 
 // Yield returns the collision-free chiplet yield of the batch.
@@ -84,8 +81,7 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 		return nil, err
 	}
 	sortBin(free)
-	screen := cfg.Params
-	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free, screen: &screen}, nil
+	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free}, nil
 }
 
 // sortBin orders a KGD bin best first: ascending AvgErr, ties by die ID.

@@ -17,8 +17,7 @@
 // the scenario's link model after a bump-bond survival roll. A
 // reshuffle moves whole dies between identical slots, so each attempt
 // re-checks only the seam criteria (collision.NewSeamChecker); a die's
-// own criteria are checked once per candidate subset, and not at all
-// when Fabricate already screened it under the same thresholds.
+// own criteria are checked once per candidate subset.
 // AssembleConfig.Want stops the run at the modules a caller keeps.
 //
 // Both stages are ctx-first and fan out on internal/runner's
